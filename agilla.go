@@ -76,7 +76,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/agilla-go/agilla/internal/asm"
 	"github.com/agilla-go/agilla/internal/core"
 	"github.com/agilla-go/agilla/internal/firesim"
 	"github.com/agilla-go/agilla/internal/sensor"
@@ -152,7 +151,7 @@ type NodeConfig = core.Config
 var ErrRemoteTimeout = core.ErrRemoteTimeout
 
 // ErrNoSuchNode reports an operation addressed to a location where the
-// deployment has no node. Launch, Inject, Space.Out, and RemoteClient
+// deployment has no node. Launch, Space.Out, and RemoteClient
 // operations wrap it; test with errors.Is.
 var ErrNoSuchNode = errors.New("agilla: no such node")
 
@@ -198,20 +197,8 @@ func NewFire(spreadEvery time.Duration, w, h int) *Fire {
 	return firesim.New(spreadEvery, &b)
 }
 
-// Assemble compiles Agilla assembly (the dialect of Figures 2, 8, and 13)
-// to agent bytecode.
-//
-// Deprecated: use program.Parse, which returns a *Program that Launch
-// accepts directly and exposes the verifier's report.
-func Assemble(src string) ([]byte, error) { return asm.Assemble(src) }
-
-// MustAssemble is Assemble, panicking on error; for hard-coded programs.
-//
-// Deprecated: use program.MustParse.
-func MustAssemble(src string) []byte { return asm.MustAssemble(src) }
-
 // Disassemble renders agent bytecode as assembly text.
-func Disassemble(code []byte) (string, error) { return asm.Disassemble(code) }
+func Disassemble(code []byte) (string, error) { return program.Disassemble(code) }
 
 // Network is a running Agilla deployment.
 type Network struct {
@@ -351,72 +338,12 @@ func (nw *Network) Launch(p *Program, dest Location) (*Agent, error) {
 	return &Agent{nw: nw, id: id}, nil
 }
 
-// Inject assembles src and injects the agent from the base station to
-// dest.
-//
-// Deprecated: use program.Parse + Launch, which separates authoring
-// errors from deployment errors and reuses the parsed program across
-// injections.
-func (nw *Network) Inject(src string, dest Location) (*Agent, error) {
-	p, err := program.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return nw.Launch(p, dest)
-}
-
-// InjectCode injects pre-assembled bytecode from the base station to
-// dest.
-//
-// Deprecated: use program.FromBytes + Launch. Unlike this shim, the
-// program package verifies the bytecode before it ships.
-func (nw *Network) InjectCode(code []byte, dest Location) (*Agent, error) {
-	p, err := program.FromBytes(code)
-	if err != nil {
-		return nil, err
-	}
-	return nw.Launch(p, dest)
-}
-
 // Node returns the mote at loc, or nil. The base station is at (0,0).
 func (nw *Network) Node(loc Location) *Node { return nw.d.Node(loc) }
 
 // Base returns the base station node.
 func (nw *Network) Base() *Node { return nw.d.Base }
 
-// Out inserts a tuple directly into the tuple space at loc.
-//
-// Deprecated: use nw.Space(loc).Out(t).
-func (nw *Network) Out(loc Location, t Tuple) error { return nw.Space(loc).Out(t) }
-
-// Read copies the first tuple at loc matching the template.
-//
-// Deprecated: use nw.Space(loc).Rdp(p).
-func (nw *Network) Read(loc Location, p Template) (Tuple, bool) { return nw.Space(loc).Rdp(p) }
-
-// Take removes and returns the first tuple at loc matching the template.
-//
-// Deprecated: use nw.Space(loc).Inp(p).
-func (nw *Network) Take(loc Location, p Template) (Tuple, bool) { return nw.Space(loc).Inp(p) }
-
-// Count returns how many tuples at loc match the template.
-//
-// Deprecated: use nw.Space(loc).Count(p).
-func (nw *Network) Count(loc Location, p Template) int { return nw.Space(loc).Count(p) }
-
-// Tuples returns every tuple stored at loc, in insertion order.
-//
-// Deprecated: use nw.Space(loc).All().
-func (nw *Network) Tuples(loc Location) []Tuple { return nw.Space(loc).All() }
-
 // TotalAgents counts live agents across the network (including in-flight
 // shells occupying slots).
 func (nw *Network) TotalAgents() int { return nw.d.TotalAgents() }
-
-// RemoteRead performs a base-station rrdp against loc.
-//
-// Deprecated: use nw.Remote().Rrdp(loc, p), which sits beside the other
-// wire operations and the network-wide Query.
-func (nw *Network) RemoteRead(loc Location, p Template) (Tuple, bool, error) {
-	return nw.Remote().Rrdp(loc, p)
-}

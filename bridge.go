@@ -5,11 +5,11 @@ package agilla
 // topology with the SAME seed, declare which locations they own and which
 // a peer serves, and the middleware runs across them — migration,
 // remote tuple space operations, and replication gossip cross the wire
-// through the frame envelope (internal/wire) over a pluggable transport
-// (internal/transport: in-memory Loopback, UDP datagrams, or a TCP
-// stream). The wire transports coalesce each peer's outbound frames into
-// wire.Batch containers, sealed at every pump quantum boundary, so
-// envelope and syscall costs amortize across border traffic.
+// over a pluggable transport (internal/transport: in-memory Loopback, UDP
+// datagrams, or a TCP stream). The wire transports coalesce each peer's
+// outbound frames into wire.Batch containers (internal/wire), sealed at
+// every pump quantum boundary, so header and syscall costs amortize
+// across border traffic.
 //
 // The split is by ownership, not by protocol: each process prunes the
 // shared layout to its own motes and attaches transparent border ports at

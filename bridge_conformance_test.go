@@ -147,7 +147,7 @@ func playConformance(t *testing.T, drive *Network, lookup func(Location) *Networ
 	}
 	stamped := Tmpl(Str("vst"), TypeV(3))
 	arrived, err := drive.RunUntil(func() bool {
-		return lookup(farDest).Count(farDest, stamped) > 0
+		return lookup(farDest).Space(farDest).Count(stamped) > 0
 	}, 2*time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func playConformance(t *testing.T, drive *Network, lookup func(Location) *Networ
 	if !arrived {
 		t.Fatalf("courier never stamped %v", farDest)
 	}
-	tp, ok := lookup(farDest).Read(farDest, stamped)
+	tp, ok := lookup(farDest).Space(farDest).Rdp(stamped)
 	out.courierTuple = renderTuple(tp, ok)
 
 	// Remote tuple space operations from the base: two inserts and a
@@ -196,7 +196,7 @@ func playConformance(t *testing.T, drive *Network, lookup func(Location) *Networ
 	for y := int16(1); y <= confH; y++ {
 		for x := int16(1); x <= confW; x++ {
 			loc := Loc(x, y)
-			tuples := lookup(loc).Tuples(loc)
+			tuples := lookup(loc).Space(loc).All()
 			if len(tuples) == 0 {
 				continue
 			}

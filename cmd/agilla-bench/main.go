@@ -43,8 +43,8 @@
 //	          Also opt-in, for the same reason as scale.
 //	vm        execution-backend comparison: the same
 //	          compute workload under the seed per-event
-//	          interpreter, the burst engine, and the
-//	          compiled-closure backend; asserts identical
+//	          interpreter (step) and the burst engine with
+//	          compiled closures (auto); asserts identical
 //	          instruction streams and hashes, reports the
 //	          wall-clock speedup; -json writes
 //	          BENCH_vm.json rows. Opt-in like scale.
@@ -56,7 +56,9 @@
 //	          batches; -json writes BENCH_wire.json rows
 //	          (transport, frames, bytes, received, batches,
 //	          frames_per_batch, wall_secs, frames_per_sec,
-//	          bytes_per_sec). Opt-in like scale and churn.
+//	          bytes_per_sec), where bytes counts frame
+//	          records (11 B header plus payload each).
+//	          Opt-in like scale and churn.
 //	          tools/benchdiff compares two such snapshots
 //	          with a tolerance band for the wall-clock
 //	          columns.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/agilla-go/agilla"
+	"github.com/agilla-go/agilla/program"
 )
 
 // drainEvents closes the network's subscriptions and collects everything
@@ -26,7 +27,7 @@ func TestEventsObserveAgentLifecycle(t *testing.T) {
 	nw := reliableGrid(t, 3, 1)
 	all := nw.Events()
 
-	ag, err := nw.Inject(marker, agilla.Loc(3, 1))
+	ag, err := nw.Launch(program.MustParse(marker), agilla.Loc(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestEventFilters(t *testing.T) {
 
 func TestEventFilterByAgent(t *testing.T) {
 	nw := reliableGrid(t, 2, 1)
-	first, err := nw.Inject("halt", agilla.Loc(1, 1))
+	first, err := nw.Launch(program.MustParse("halt"), agilla.Loc(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := nw.Inject("halt", agilla.Loc(2, 1))
+	second, err := nw.Launch(program.MustParse("halt"), agilla.Loc(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestReactionFiredEvent(t *testing.T) {
 
 	// A tracker-style agent: register a reaction on <"fir", location>,
 	// wait, and halt when it fires.
-	ag, err := nw.Inject(`
+	ag, err := nw.Launch(program.MustParse(`
 		     pushn fir
 		     pusht LOCATION
 		     pushc 2
@@ -143,7 +144,7 @@ func TestReactionFiredEvent(t *testing.T) {
 		     regrxn
 		     wait
 		FIRE halt
-	`, mote)
+	`), mote)
 	if err != nil {
 		t.Fatal(err)
 	}

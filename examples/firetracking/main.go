@@ -30,9 +30,11 @@ const burnout = 30 * time.Second
 func main() {
 	// The fire spreads one cell every 40 seconds once ignited.
 	fire := agilla.NewFire(40*time.Second, width, height)
-	nw, err := agilla.NewNetwork(agilla.Options{
-		Width: width, Height: height, Seed: 42, Field: fire,
-	})
+	nw, err := agilla.New(
+		agilla.WithTopology(agilla.Grid(width, height)),
+		agilla.WithSeed(42),
+		agilla.WithField(fire),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

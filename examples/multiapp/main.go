@@ -20,13 +20,16 @@ import (
 	"time"
 
 	"github.com/agilla-go/agilla"
+	"github.com/agilla-go/agilla/program"
 )
 
 func main() {
 	fire := agilla.NewFire(time.Minute, 3, 3)
-	nw, err := agilla.NewNetwork(agilla.Options{
-		Width: 3, Height: 3, Seed: 5, Field: fire,
-	})
+	nw, err := agilla.New(
+		agilla.WithTopology(agilla.Grid(3, 3)),
+		agilla.WithSeed(5),
+		agilla.WithField(fire),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func main() {
 		      rjump LOOP
 		BAIL  halt             // voluntarily free our resources
 	`
-	habitatAgent, err := nw.Inject(habitat, mote)
+	habitatAgent, err := nw.Launch(program.MustParse(habitat), mote)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func main() {
 		      out             // fire tuple into the LOCAL tuple space
 		      halt
 	`
-	if _, err := nw.Inject(detector, mote); err != nil {
+	if _, err := nw.Launch(program.MustParse(detector), mote); err != nil {
 		log.Fatal(err)
 	}
 

@@ -15,9 +15,10 @@ import (
 )
 
 func main() {
-	// The zero-ish options build the paper's testbed: a 5×5 MICA2 grid
-	// with a calibrated lossy CC1000 radio and a base station at (0,0).
-	nw, err := agilla.NewNetwork(agilla.Options{Seed: 1})
+	// With no topology option New builds the paper's testbed: a 5×5
+	// MICA2 grid with a calibrated lossy CC1000 radio and a base station
+	// at (0,0).
+	nw, err := agilla.New(agilla.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,10 +18,11 @@ import (
 
 	"github.com/agilla-go/agilla"
 	"github.com/agilla-go/agilla/internal/agents"
+	"github.com/agilla-go/agilla/program"
 )
 
 func main() {
-	nw, err := agilla.NewNetwork(agilla.Options{Seed: 11})
+	nw, err := agilla.New(agilla.WithSeed(11))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +57,11 @@ func main() {
 		     halt
 	`
 	// Inject one sweeping agent; it weak-clones across the whole grid.
-	if _, err := nw.InjectCode(agents.Spreader(payload), agilla.Loc(1, 1)); err != nil {
+	sweep, err := program.FromBytes(agents.Spreader(payload))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := nw.Launch(sweep, agilla.Loc(1, 1)); err != nil {
 		log.Fatal(err)
 	}
 

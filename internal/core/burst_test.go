@@ -11,26 +11,57 @@ import (
 	"github.com/agilla-go/agilla/internal/vm"
 )
 
-// The burst engine's contract is that ExecBurst and ExecAuto are pure
-// optimizations: every middleware observable — trace hooks, per-node
-// counters, medium statistics, the logical event count, and the exact
-// per-instruction schedule — must be byte-identical to the ExecStep seed
-// interpreter (one heap event per instruction). These tests diff the
-// fast modes against the ExecStep oracle on the full determinism
-// workloads and on targeted burst-boundary scenarios: a reaction firing
-// delivered mid-straight-line-run, energy exhaustion on the k-th
-// instruction of a burst, Slice exhaustion inside a burst, and agent
-// death mid-burst.
+// The burst engine's contract is that ExecAuto is a pure optimization:
+// every middleware observable — trace hooks, per-node counters, medium
+// statistics, the logical event count, and the exact per-instruction
+// schedule — must be byte-identical to the ExecStep seed interpreter
+// (one heap event per instruction). These tests diff ExecAuto against
+// the ExecStep oracle on the full determinism workloads, both with
+// compiled programs and with code that fails vm.Verify (which ExecAuto
+// runs on the interpreter through the same batched scheduling), and on
+// targeted burst-boundary scenarios: a reaction firing delivered
+// mid-straight-line-run, energy exhaustion on the k-th instruction of a
+// burst, Slice exhaustion inside a burst, and agent death mid-burst.
 
-// withExec returns a DeploymentSpec option that pins the node execution
-// mode.
-func withExec(mode ExecMode) func(*DeploymentSpec) {
-	return func(s *DeploymentSpec) { s.Node.Exec = mode }
+// undefinedOp is a byte no opcode decodes to.
+const undefinedOp = 0xee
+
+// execVariant is one engine configuration a determinism workload runs
+// under. With unverified set, every agent's bytecode carries undefinedOp
+// after its last instruction: the byte is never reached, but the code
+// fails vm.Verify, so ExecAuto has no compiled program for it
+// (rec.prog == nil) and runs it on the interpreted chain.
+type execVariant struct {
+	mode       ExecMode
+	unverified bool
 }
 
-var execFastModes = map[string]ExecMode{
-	"burst": ExecBurst,
-	"auto":  ExecAuto,
+// code assembles one workload agent for the variant. Node.InjectAgent
+// and Node.CreateAgent do not verify, so unverified code ships as is.
+func (v execVariant) code(t *testing.T, src string) []byte {
+	t.Helper()
+	code := asm.MustAssemble(src)
+	if !v.unverified {
+		return code
+	}
+	code = append(code, undefinedOp)
+	if _, err := vm.Verify(code); err == nil {
+		t.Fatalf("variant code verifies; it must exercise the interpreted chain")
+	}
+	return code
+}
+
+// oracle returns the ExecStep run of the same variant.
+func (v execVariant) oracle() execVariant {
+	v.mode = ExecStep
+	return v
+}
+
+// execVariants are diffed against their ExecStep oracle at workers
+// {1,4}.
+var execVariants = map[string]execVariant{
+	"auto":            {mode: ExecAuto},
+	"auto-unverified": {mode: ExecAuto, unverified: true},
 }
 
 // TestExecModesMatchSeedTrace reruns the determinism workloads
@@ -41,13 +72,13 @@ var execFastModes = map[string]ExecMode{
 func TestExecModesMatchSeedTrace(t *testing.T) {
 	t.Run("migration", func(t *testing.T) {
 		layout := topology.GridLayout(4, 4)
-		wantHash, wantLen, wantStats, wantExec := runDeterminismWorkload(t, layout, 3, 1, withExec(ExecStep))
-		if wantLen == 0 {
-			t.Fatal("oracle run produced no trace events")
-		}
-		for name, mode := range execFastModes {
+		for name, v := range execVariants {
+			wantHash, wantLen, wantStats, wantExec := runDeterminismWorkload(t, layout, 3, 1, v.oracle())
+			if wantLen == 0 {
+				t.Fatalf("%s: oracle run produced no trace events", name)
+			}
 			for _, workers := range []int{1, 4} {
-				gotHash, gotLen, gotStats, gotExec := runDeterminismWorkload(t, layout, 3, workers, withExec(mode))
+				gotHash, gotLen, gotStats, gotExec := runDeterminismWorkload(t, layout, 3, workers, v)
 				if gotLen != wantLen || gotHash != wantHash {
 					t.Errorf("%s/workers=%d: trace hash %016x (%d events), want %016x (%d events)",
 						name, workers, gotHash, gotLen, wantHash, wantLen)
@@ -62,13 +93,13 @@ func TestExecModesMatchSeedTrace(t *testing.T) {
 		}
 	})
 	t.Run("world", func(t *testing.T) {
-		wantHash, wantLen, wantStats, wantExec, wantWorld := runWorldDeterminismWorkload(t, 5, 1, withExec(ExecStep))
-		if wantLen == 0 {
-			t.Fatal("oracle run produced no trace events")
-		}
-		for name, mode := range execFastModes {
+		for name, v := range execVariants {
+			wantHash, wantLen, wantStats, wantExec, wantWorld := runWorldDeterminismWorkload(t, 5, 1, v.oracle())
+			if wantLen == 0 {
+				t.Fatalf("%s: oracle run produced no trace events", name)
+			}
 			for _, workers := range []int{1, 4} {
-				gotHash, gotLen, gotStats, gotExec, gotWorld := runWorldDeterminismWorkload(t, 5, workers, withExec(mode))
+				gotHash, gotLen, gotStats, gotExec, gotWorld := runWorldDeterminismWorkload(t, 5, workers, v)
 				if gotLen != wantLen || gotHash != wantHash {
 					t.Errorf("%s/workers=%d: trace hash %016x (%d events), want %016x (%d events)",
 						name, workers, gotHash, gotLen, wantHash, wantLen)
@@ -86,23 +117,24 @@ func TestExecModesMatchSeedTrace(t *testing.T) {
 		}
 	})
 	t.Run("replication", func(t *testing.T) {
-		wantHash, wantLen, wantStats, wantExec := runReplicationDeterminismWorkload(t, 7, 1, withExec(ExecStep))
+		// The replication workload runs no agents, so only the mode
+		// varies.
+		auto := execVariants["auto"]
+		wantHash, wantLen, wantStats, wantExec := runReplicationDeterminismWorkload(t, 7, 1, auto.oracle())
 		if wantLen == 0 {
 			t.Fatal("oracle run produced no trace events")
 		}
-		for name, mode := range execFastModes {
-			for _, workers := range []int{1, 4} {
-				gotHash, gotLen, gotStats, gotExec := runReplicationDeterminismWorkload(t, 7, workers, withExec(mode))
-				if gotLen != wantLen || gotHash != wantHash {
-					t.Errorf("%s/workers=%d: trace hash %016x (%d events), want %016x (%d events)",
-						name, workers, gotHash, gotLen, wantHash, wantLen)
-				}
-				if gotStats != wantStats {
-					t.Errorf("%s/workers=%d: stats %+v, want %+v", name, workers, gotStats, wantStats)
-				}
-				if gotExec.String() != wantExec.String() {
-					t.Errorf("%s/workers=%d: executor state %v, want %v", name, workers, gotExec, wantExec)
-				}
+		for _, workers := range []int{1, 4} {
+			gotHash, gotLen, gotStats, gotExec := runReplicationDeterminismWorkload(t, 7, workers, auto)
+			if gotLen != wantLen || gotHash != wantHash {
+				t.Errorf("workers=%d: trace hash %016x (%d events), want %016x (%d events)",
+					workers, gotHash, gotLen, wantHash, wantLen)
+			}
+			if gotStats != wantStats {
+				t.Errorf("workers=%d: stats %+v, want %+v", workers, gotStats, wantStats)
+			}
+			if gotExec.String() != wantExec.String() {
+				t.Errorf("workers=%d: executor state %v, want %v", workers, gotExec, wantExec)
 			}
 		}
 	})
@@ -196,7 +228,7 @@ func runBurstScenario(t *testing.T, mode ExecMode, workers int, spec DeploymentS
 	}
 }
 
-// diffBurstScenario compares a fast-mode run against the ExecStep oracle
+// diffBurstScenario compares an ExecAuto run against the ExecStep oracle
 // and, on mismatch, prints the first diverging trace line.
 func diffBurstScenario(t *testing.T, label string, got, want burstScenarioResult) {
 	t.Helper()
@@ -215,9 +247,9 @@ func diffBurstScenario(t *testing.T, label string, got, want burstScenarioResult
 	t.Errorf("%s: traces are a prefix of each other (got %d lines, want %d)", label, len(got.trace), len(want.trace))
 }
 
-// runBoundaryScenario diffs every fast mode (at 1 and 2 workers) against
-// the sequential seed interpreter and returns the oracle plus the
-// 1-worker auto-mode result for scenario-specific assertions.
+// runBoundaryScenario diffs ExecAuto (at 1 and 2 workers) against the
+// sequential seed interpreter and returns the oracle plus the 1-worker
+// ExecAuto result for scenario-specific assertions.
 func runBoundaryScenario(t *testing.T, spec DeploymentSpec, horizon time.Duration,
 	drive func(t *testing.T, d *Deployment)) (oracle, auto burstScenarioResult) {
 	t.Helper()
@@ -229,13 +261,11 @@ func runBoundaryScenario(t *testing.T, spec DeploymentSpec, horizon time.Duratio
 		t.Fatalf("ExecStep absorbed events locally: dispatched %d, executed %d",
 			oracle.dispatched, oracle.exec.Events)
 	}
-	for name, mode := range execFastModes {
-		for _, workers := range []int{1, 2} {
-			got := runBurstScenario(t, mode, workers, spec, horizon, drive)
-			diffBurstScenario(t, fmt.Sprintf("%s/workers=%d", name, workers), got, oracle)
-			if name == "auto" && workers == 1 {
-				auto = got
-			}
+	for _, workers := range []int{1, 2} {
+		got := runBurstScenario(t, ExecAuto, workers, spec, horizon, drive)
+		diffBurstScenario(t, fmt.Sprintf("auto/workers=%d", workers), got, oracle)
+		if workers == 1 {
+			auto = got
 		}
 	}
 	return oracle, auto

@@ -57,7 +57,7 @@ const (
 	DefaultBootDelay = 500 * time.Millisecond
 )
 
-// ExecMode selects the engine's execution strategy. All modes implement
+// ExecMode selects the engine's execution strategy. Both modes implement
 // the same observable semantics — identical trace, stats, and energy
 // behavior — they differ only in how many scheduler events and how much
 // dispatch work each instruction costs.
@@ -66,13 +66,11 @@ type ExecMode uint8
 // Execution modes.
 const (
 	// ExecAuto (the default): burst batching plus the compiled-closure
-	// backend for programs that verify. Fastest.
+	// backend for programs that verify; code that fails vm.Verify runs
+	// on the interpreter through the same batched scheduling.
 	ExecAuto ExecMode = iota
-	// ExecBurst: burst batching with the plain interpreter (no compiled
-	// closures). Isolates the batching layer for benchmarks and tests.
-	ExecBurst
 	// ExecStep: the seed engine — one interpreted instruction per
-	// scheduled sim event. The oracle the other modes are diffed against.
+	// scheduled sim event. The oracle ExecAuto is diffed against.
 	ExecStep
 )
 

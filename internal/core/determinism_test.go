@@ -151,12 +151,9 @@ const reactorSrc = `
 // workload that exercises migration, remote ops, and reactions for 25
 // virtual seconds, and returns the trace hash, trace length, and final
 // counters.
-func runDeterminismWorkload(t *testing.T, layout topology.Layout, seed int64, workers int, opts ...func(*DeploymentSpec)) (uint64, int, NodeStats, Stats2) {
+func runDeterminismWorkload(t *testing.T, layout topology.Layout, seed int64, workers int, v execVariant) (uint64, int, NodeStats, Stats2) {
 	t.Helper()
-	spec := DeploymentSpec{Layout: layout, Seed: seed, Workers: workers}
-	for _, opt := range opts {
-		opt(&spec)
-	}
+	spec := DeploymentSpec{Layout: layout, Seed: seed, Workers: workers, Node: Config{Exec: v.mode}}
 	d, err := NewDeployment(spec)
 	if err != nil {
 		t.Fatalf("deployment: %v", err)
@@ -174,15 +171,15 @@ func runDeterminismWorkload(t *testing.T, layout topology.Layout, seed int64, wo
 
 	// Multi-hop round trips from the base, a remote rout toward a far
 	// mote, and a reaction listener at the midpoint.
-	roundTrip := asm.MustAssemble(agents.SmoveRoundTripSrc(far, d.Base.Loc()))
+	roundTrip := v.code(t, agents.SmoveRoundTripSrc(far, d.Base.Loc()))
 	if _, err := d.Base.InjectAgent(roundTrip, locs[0]); err != nil {
 		t.Fatalf("inject: %v", err)
 	}
-	if _, err := d.Base.InjectAgent(asm.MustAssemble(agents.RoutSrc(mid)), locs[0]); err != nil {
+	if _, err := d.Base.InjectAgent(v.code(t, agents.RoutSrc(mid)), locs[0]); err != nil {
 		t.Fatalf("inject rout: %v", err)
 	}
 	if n := d.Node(mid); n != nil {
-		if _, err := n.CreateAgent(asm.MustAssemble(reactorSrc)); err != nil {
+		if _, err := n.CreateAgent(v.code(t, reactorSrc)); err != nil {
 			t.Fatalf("reactor: %v", err)
 		}
 	}
@@ -221,12 +218,12 @@ func TestParallelExecutorMatchesSequentialTrace(t *testing.T) {
 		for name, layout := range determinismLayouts(seed) {
 			name, layout, seed := name, layout, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				wantHash, wantLen, wantStats, wantExec := runDeterminismWorkload(t, layout, seed, 1)
+				wantHash, wantLen, wantStats, wantExec := runDeterminismWorkload(t, layout, seed, 1, execVariant{})
 				if wantLen == 0 {
 					t.Fatal("sequential run produced no trace events")
 				}
 				for _, workers := range []int{2, 4} {
-					gotHash, gotLen, gotStats, gotExec := runDeterminismWorkload(t, layout, seed, workers)
+					gotHash, gotLen, gotStats, gotExec := runDeterminismWorkload(t, layout, seed, workers, execVariant{})
 					if gotLen != wantLen || gotHash != wantHash {
 						t.Errorf("workers=%d: trace hash %016x (%d events), want %016x (%d events)",
 							workers, gotHash, gotLen, wantHash, wantLen)
@@ -248,7 +245,7 @@ func TestParallelExecutorMatchesSequentialTrace(t *testing.T) {
 // so relocating a column-1 mote to column 6 crosses every strip
 // boundary), battery drain with energy deaths, plus the usual migration
 // and remote traffic — and returns the trace hash and counters.
-func runWorldDeterminismWorkload(t *testing.T, seed int64, workers int, opts ...func(*DeploymentSpec)) (uint64, int, NodeStats, Stats2, WorldStats) {
+func runWorldDeterminismWorkload(t *testing.T, seed int64, workers int, v execVariant) (uint64, int, NodeStats, Stats2, WorldStats) {
 	t.Helper()
 	energy := DefaultEnergyModel()
 	energy.CapacityJ = 0.02 // some motes die of exhaustion inside the run
@@ -257,9 +254,7 @@ func runWorldDeterminismWorkload(t *testing.T, seed int64, workers int, opts ...
 		Seed:    seed,
 		Workers: workers,
 		Energy:  &energy,
-	}
-	for _, opt := range opts {
-		opt(&spec)
+		Node:    Config{Exec: v.mode},
 	}
 	d, err := NewDeployment(spec)
 	if err != nil {
@@ -278,14 +273,14 @@ func runWorldDeterminismWorkload(t *testing.T, seed int64, workers int, opts ...
 	locs := d.Locations()
 	far := locs[len(locs)-1]
 	mid := locs[len(locs)/2]
-	if _, err := d.Base.InjectAgent(asm.MustAssemble(agents.SmoveRoundTripSrc(far, d.Base.Loc())), locs[0]); err != nil {
+	if _, err := d.Base.InjectAgent(v.code(t, agents.SmoveRoundTripSrc(far, d.Base.Loc())), locs[0]); err != nil {
 		t.Fatalf("inject: %v", err)
 	}
-	if _, err := d.Base.InjectAgent(asm.MustAssemble(agents.RoutSrc(mid)), locs[0]); err != nil {
+	if _, err := d.Base.InjectAgent(v.code(t, agents.RoutSrc(mid)), locs[0]); err != nil {
 		t.Fatalf("inject rout: %v", err)
 	}
 	if n := d.Node(mid); n != nil {
-		if _, err := n.CreateAgent(asm.MustAssemble(reactorSrc)); err != nil {
+		if _, err := n.CreateAgent(v.code(t, reactorSrc)); err != nil {
 			t.Fatalf("reactor: %v", err)
 		}
 	}
@@ -314,7 +309,7 @@ func TestWorldDynamicsDeterministic(t *testing.T) {
 	for _, seed := range []int64{5, 23} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			wantHash, wantLen, wantStats, wantExec, wantWorld := runWorldDeterminismWorkload(t, seed, 1)
+			wantHash, wantLen, wantStats, wantExec, wantWorld := runWorldDeterminismWorkload(t, seed, 1, execVariant{})
 			if wantLen == 0 {
 				t.Fatal("sequential run produced no trace events")
 			}
@@ -322,7 +317,7 @@ func TestWorldDynamicsDeterministic(t *testing.T) {
 				t.Fatalf("world schedule did not apply: %+v", wantWorld)
 			}
 			for _, workers := range []int{2, 4} {
-				gotHash, gotLen, gotStats, gotExec, gotWorld := runWorldDeterminismWorkload(t, seed, workers)
+				gotHash, gotLen, gotStats, gotExec, gotWorld := runWorldDeterminismWorkload(t, seed, workers, execVariant{})
 				if gotLen != wantLen || gotHash != wantHash {
 					t.Errorf("workers=%d: trace hash %016x (%d events), want %016x (%d events)",
 						workers, gotHash, gotLen, wantHash, wantLen)
@@ -345,7 +340,7 @@ func TestWorldDynamicsDeterministic(t *testing.T) {
 // churn: replication on every mote, application tuples outed across the
 // grid, a kill + revive so the recovery re-sync runs, remote probes served
 // from replicas, and the energy model charging every gossip frame.
-func runReplicationDeterminismWorkload(t *testing.T, seed int64, workers int, opts ...func(*DeploymentSpec)) (uint64, int, NodeStats, Stats2) {
+func runReplicationDeterminismWorkload(t *testing.T, seed int64, workers int, v execVariant) (uint64, int, NodeStats, Stats2) {
 	t.Helper()
 	energy := DefaultEnergyModel()
 	energy.CapacityJ = 2.0 // generous: gossip airtime must not exhaust motes mid-run
@@ -355,9 +350,7 @@ func runReplicationDeterminismWorkload(t *testing.T, seed int64, workers int, op
 		Workers:     workers,
 		Energy:      &energy,
 		Replication: &Replication{K: 2, Period: 500 * time.Millisecond},
-	}
-	for _, opt := range opts {
-		opt(&spec)
+		Node:        Config{Exec: v.mode},
 	}
 	d, err := NewDeployment(spec)
 	if err != nil {
@@ -409,7 +402,7 @@ func TestReplicationDeterministic(t *testing.T) {
 	for _, seed := range []int64{7, 41} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			wantHash, wantLen, wantStats, wantExec := runReplicationDeterminismWorkload(t, seed, 1)
+			wantHash, wantLen, wantStats, wantExec := runReplicationDeterminismWorkload(t, seed, 1, execVariant{})
 			if wantLen == 0 {
 				t.Fatal("sequential run produced no trace events")
 			}
@@ -420,7 +413,7 @@ func TestReplicationDeterministic(t *testing.T) {
 				t.Fatalf("no tuples recovered after revive: %+v", wantStats)
 			}
 			for _, workers := range []int{2, 4} {
-				gotHash, gotLen, gotStats, gotExec := runReplicationDeterminismWorkload(t, seed, workers)
+				gotHash, gotLen, gotStats, gotExec := runReplicationDeterminismWorkload(t, seed, workers, execVariant{})
 				if gotLen != wantLen || gotHash != wantHash {
 					t.Errorf("workers=%d: trace hash %016x (%d events), want %016x (%d events)",
 						workers, gotHash, gotLen, wantHash, wantLen)

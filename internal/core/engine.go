@@ -14,7 +14,7 @@ import (
 // The paper's one-instruction-per-task execution model is a semantic
 // contract — slice-based context switches, reaction delivery at
 // instruction boundaries — not a mandate to pay one heap-scheduled event
-// per opcode. Under ExecAuto/ExecBurst the engine preserves the exact
+// per opcode. Under ExecAuto the engine preserves the exact
 // observable schedule while collapsing the scheduler traffic two ways:
 //
 //   - Straight-line bursts: after an instruction completes with no
@@ -33,7 +33,7 @@ import (
 //
 // Under ExecStep the seed behavior is preserved verbatim — one
 // interpreted instruction per heap event — as the oracle the determinism
-// suite diffs the fast modes against.
+// suite diffs ExecAuto against.
 
 // progCache memoizes vm.Compile across the whole process. Compilation is
 // a pure function of the code bytes, so nodes on every shard share one

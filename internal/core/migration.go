@@ -712,8 +712,8 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 		rec.state = AgentReady
 		n.enqueue(rec)
 	}
-	if n.cfg.Exec == ExecAuto {
-		rec.prog = progCache.Get(a.Code)
+	if n.burst {
+		rec.prog = progCache.Get(a.Code) // nil when the code does not verify
 	}
 	n.agents[a.ID] = rec
 	n.stats.AgentsHosted++

@@ -67,7 +67,7 @@ type record struct {
 	agent *vm.Agent
 	state AgentState
 	// prog is the compiled form of the agent's code, nil when the program
-	// does not verify or the node runs without the compiled backend.
+	// does not verify or the node runs under ExecStep.
 	prog *vm.Compiled
 
 	// blockTmpl and blockRemove describe an unsatisfied blocking in/rd.

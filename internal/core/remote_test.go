@@ -461,7 +461,7 @@ func TestDeploymentAssembly(t *testing.T) {
 }
 
 func TestDeploymentRejectsBadConfig(t *testing.T) {
-	if _, err := NewGridDeployment(DeploymentConfig{Width: 0, Height: 5}); err == nil {
+	if _, err := NewDeployment(DeploymentSpec{Layout: topology.GridLayout(0, 5)}); err == nil {
 		t.Error("zero width must be rejected")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/agilla-go/agilla/internal/stats"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
+	"github.com/agilla-go/agilla/program"
 )
 
 // CaseStudyResult is the E8 fire detection/tracking scenario outcome (§5).
@@ -65,6 +66,16 @@ func CaseStudyScenario() *agilla.Scenario {
 	}
 }
 
+// launchCode verifies raw agent bytecode and launches it toward dest.
+func launchCode(nw *agilla.Network, code []byte, dest topology.Location) error {
+	p, err := program.FromBytes(code)
+	if err != nil {
+		return err
+	}
+	_, err = nw.Launch(p, dest)
+	return err
+}
+
 // playCaseStudy scripts the four phases against a warmed-up network and
 // records every measurement in the run's metrics. Every phase's wait
 // predicate also polls ctx so an ensemble Ctrl-C interrupts mid-run.
@@ -78,7 +89,7 @@ func playCaseStudy(ctx context.Context, nw *agilla.Network, m *agilla.Metrics) e
 	// 2 s (16 ticks) so the compressed scenario stays short; the paper's
 	// listing uses 10-minute idle sleeps.
 	detector := agents.Spreader(agents.FireSentinelSrc(base, 16))
-	if _, err := nw.InjectCode(detector, topology.Loc(1, 1)); err != nil {
+	if err := launchCode(nw, detector, topology.Loc(1, 1)); err != nil {
 		return err
 	}
 	total := caseStudySize * caseStudySize
@@ -97,7 +108,7 @@ func playCaseStudy(ctx context.Context, nw *agilla.Network, m *agilla.Metrics) e
 	}
 
 	// Phase 2: one tracker waits at the base station.
-	if _, err := nw.InjectCode(agents.FireTracker(), base); err != nil {
+	if err := launchCode(nw, agents.FireTracker(), base); err != nil {
 		return err
 	}
 	if err := nw.Run(2 * time.Second); err != nil {

@@ -61,13 +61,13 @@ func (c Config) withDefaults() Config {
 // newTestbed builds the paper's 5×5 testbed with the calibrated lossy
 // radio and the given per-node config tweaks.
 func newTestbed(seed int64, node core.Config, params *radio.Params) (*core.Deployment, error) {
-	cfg := core.DeploymentConfig{
-		Width: 5, Height: 5, Seed: seed,
-		Node:  node,
-		Field: sensor.Constant(25),
-		Radio: params,
-	}
-	return core.NewGridDeployment(cfg)
+	return core.NewDeployment(core.DeploymentSpec{
+		Layout: topology.GridLayout(5, 5),
+		Seed:   seed,
+		Node:   node,
+		Field:  sensor.Constant(25),
+		Radio:  params,
+	})
 }
 
 // purgeAgents kills every live agent in the deployment (between trials).

@@ -12,13 +12,12 @@ import (
 )
 
 // The vm experiment benchmarks the execution engine in isolation: the
-// same compute-loop workload run under each execution backend — the
-// seed per-event interpreter (step), the burst engine driving the
-// interpreter (burst), and the burst engine driving compiled closures
-// (auto). The workload is deterministic in virtual time, so every mode
-// executes the identical instruction stream and must finish with the
-// identical state hash; only the wall clock differs. The speedup column
-// against step is the headline this PR exists for.
+// same compute-loop workload run under both execution backends — the
+// seed per-event interpreter (step) and the burst engine driving
+// compiled closures (auto). The workload is deterministic in virtual
+// time, so both modes execute the identical instruction stream and must
+// finish with the identical state hash; only the wall clock differs.
+// The speedup column is step's wall clock over each mode's.
 
 // vmLoopSrc is the maximal-burst workload: pure straight-line compute
 // with a relative jump, no host effects, no blocking.
@@ -46,7 +45,7 @@ type VMRow struct {
 	Speedup     float64 `json:"speedup"`
 }
 
-// VMResult is the three-mode comparison.
+// VMResult is the two-mode comparison.
 type VMResult struct {
 	Rows []VMRow
 }
@@ -83,7 +82,6 @@ func VM(cfg Config) (*VMResult, error) {
 		exec core.ExecMode
 	}{
 		{"step", core.ExecStep},
-		{"burst", core.ExecBurst},
 		{"auto", core.ExecAuto},
 	}
 	res := &VMResult{}

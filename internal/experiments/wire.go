@@ -15,7 +15,7 @@ import (
 )
 
 // The wire experiment benchmarks the transport layer of the distributed
-// runtime: a fixed mix of enveloped frames — the traffic a migration
+// runtime: a fixed mix of frames — the traffic a migration
 // plus anti-entropy gossip workload puts on a border — pushed through
 // each transport as fast as it will take them. The workload is built
 // once, deterministically, with the real payload codecs (beacon, the
@@ -25,7 +25,8 @@ import (
 // wall-clock measurement.
 
 // WireRow is one transport's measurement. Frames and Bytes count the
-// offered load and are deterministic; Received may fall short on UDP
+// offered load — Bytes as frame records, header plus payload, without
+// the per-batch container — and are deterministic; Received may fall short on UDP
 // (drop-oldest backpressure is part of the design under test). Batches
 // counts wire writes at the sender, so FramesPerBatch is the coalescing
 // payoff: frames carried per datagram or stream record.
@@ -179,7 +180,7 @@ func wirePump(name string, src, dst transport.Transport, frames []wire.Frame, ba
 
 	var bytes int64
 	for _, f := range frames {
-		bytes += int64(f.EncodedLen())
+		bytes += int64(f.RecordLen())
 	}
 
 	received := 0

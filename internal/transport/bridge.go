@@ -45,7 +45,7 @@ type Bridge struct {
 // BridgeStats counts border traffic.
 type BridgeStats struct {
 	Relayed      uint64 // frames relayed to peers (post radio model)
-	RelayedBytes uint64 // enveloped bytes relayed
+	RelayedBytes uint64 // frame record bytes relayed (header plus payload)
 	Injected     uint64 // inbound frames delivered into the local medium
 	Stale        uint64 // inbound frames whose destination node is gone
 	Misrouted    uint64 // inbound frames for locations this process does not own
@@ -118,7 +118,7 @@ func (p *borderPort) ReceiveFrame(f radio.Frame) {
 		b.stats.SendErrs++
 	} else {
 		b.stats.Relayed++
-		b.stats.RelayedBytes += uint64(wf.EncodedLen())
+		b.stats.RelayedBytes += uint64(wf.RecordLen())
 		b.stats.RelayedByKind[kindBucket(wf.Kind)]++
 	}
 	b.mu.Unlock()

@@ -8,14 +8,13 @@ import (
 )
 
 // The loopback transport: a process-global registry of named endpoints.
-// Send encodes the frame through the real envelope codec and appends the
-// decoded result to the destination's inbox under its lock — so the wire
-// format is exercised end to end, but delivery has no goroutines, no
-// sockets, and no clocks. A single-threaded driver that alternates
-// send/pump between two endpoints gets fully reproducible delivery, which
-// is what makes Loopback the oracle-adjacent path of the conformance
-// suite: any disagreement with the in-process run is a bridge or protocol
-// bug, not scheduling noise.
+// Send copies the frame into the destination's inbox under its lock, so
+// delivery has no goroutines, no sockets, no clocks, and no codec. A
+// single-threaded driver that alternates send/pump between two endpoints
+// gets fully reproducible delivery, which is what makes Loopback the
+// oracle-adjacent path of the conformance suite: any disagreement with
+// the in-process run is a bridge or protocol bug, not scheduling noise.
+// The wire codec itself is covered by UDP and TCP, which share it.
 
 var (
 	loopMu  sync.Mutex
@@ -71,18 +70,18 @@ func (l *Loopback) Dial(addr Addr) error {
 	return nil
 }
 
-// Send encodes f — as a batch of one, through the same container codec
-// the wire transports coalesce with — and delivers it into the
-// destination endpoint's inbox. An unregistered destination is an error
-// (the peer process has not started or already closed); a full inbox
-// drops the oldest frame. There is no coalescing: loopback delivery is
-// synchronous by design, so every frame is its own single-frame batch
-// and determinism is preserved.
+// Send delivers a copy of f into the destination endpoint's inbox. It
+// refuses what UDP and TCP refuse (a payload past wire.MaxFramePayload),
+// and counts traffic as a batch of one so the byte counters match what
+// the frame would cost on a real wire. An unregistered destination is an
+// error (the peer process has not started or already closed); a full
+// inbox drops the oldest frame. There is no coalescing: loopback
+// delivery is synchronous by design, which preserves determinism.
 func (l *Loopback) Send(addr Addr, f wire.Frame) error {
-	b, err := wire.EncodeBatch([]wire.Frame{f})
-	if err != nil {
-		return err
+	if len(f.Payload) > wire.MaxFramePayload {
+		return fmt.Errorf("%w: frame payload %d bytes (max %d)", wire.ErrBadMessage, len(f.Payload), wire.MaxFramePayload)
 	}
+	size := wire.BatchOverhead + f.RecordLen()
 	loopMu.Lock()
 	dst := loopReg[addr]
 	loopMu.Unlock()
@@ -93,7 +92,7 @@ func (l *Loopback) Send(addr Addr, f wire.Frame) error {
 	}
 	st := l.peerStats(addr)
 	st.Sent++
-	st.SentBytes += uint64(len(b))
+	st.SentBytes += uint64(size)
 	st.Batches++
 	if dst == nil {
 		st.SendErrs++
@@ -101,14 +100,9 @@ func (l *Loopback) Send(addr Addr, f wire.Frame) error {
 		return fmt.Errorf("transport: no loopback endpoint %q", addr)
 	}
 	l.mu.Unlock()
-	// Decode through the real codec so loopback exercises the same wire
-	// path as UDP and TCP; the batch was just encoded, so this cannot
-	// fail.
-	out, err := wire.DecodeBatch(b)
-	if err != nil || len(out) != 1 {
-		return fmt.Errorf("transport: loopback re-decode: %v", err)
-	}
-	dst.push(l.addr, out[0], len(b))
+	// The receiver must never alias the sender's buffer.
+	f.Payload = append([]byte(nil), f.Payload...)
+	dst.push(l.addr, f, size)
 	return nil
 }
 

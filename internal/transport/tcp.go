@@ -25,9 +25,8 @@ import (
 // dialer writes is a hello naming its own listen address, so the
 // acceptor can attribute inbound traffic to the dialed peer address
 // (the TCP source port of an outbound connection is ephemeral and names
-// nothing). Every later record is one wire.Batch (or, tolerated for
-// mixed-version peers, one bare single-frame envelope). The batch's own
-// CRC guards record integrity; the length prefix only frames the
+// nothing). Every later record is one wire.Batch. The batch's own CRC
+// guards record integrity; the length prefix only frames the
 // stream. A record that fails to decode means the stream is corrupt or
 // hostile: it is counted malformed and the connection is dropped —
 // unlike UDP there is no datagram boundary to resynchronize on.
@@ -202,15 +201,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 			continue
 		}
 		var derr error
-		scratch = scratch[:0]
-		if wire.IsBatch(data) {
-			scratch, derr = wire.DecodeBatchAppend(scratch, data)
-		} else {
-			var f wire.Frame
-			if f, derr = wire.DecodeFrame(data); derr == nil {
-				scratch = append(scratch, f)
-			}
-		}
+		scratch, derr = wire.DecodeBatchAppend(scratch[:0], data)
 		if derr != nil {
 			// A corrupt record poisons the framing; drop the stream. The
 			// dialer reconnects and resumes from a clean boundary.

@@ -1,13 +1,13 @@
-// Package transport moves enveloped frames (internal/wire.Frame) between
+// Package transport moves frames (internal/wire.Frame) between
 // processes. It is the first real-wire layer under the simulated radio: a
 // deployment that owns half a field attaches a transport.Bridge to its
 // radio.Medium, and frames addressed to the other half cross a Transport
 // instead of the in-process attachment table.
 //
 // Three implementations ship: Loopback, an in-memory registry used by
-// the conformance suite (deterministic — no goroutines, no clocks,
-// delivery happens synchronously into the peer's inbox and is drained
-// by an explicit pump); UDP, a real datagram transport (reader
+// the conformance suite (deterministic — no goroutines, no clocks, no
+// codec; a copy of each frame lands synchronously in the peer's inbox
+// and is drained by an explicit pump); UDP, a real datagram transport (reader
 // goroutine, per-peer send queues with drop-oldest backpressure,
 // malformed-frame accounting); and TCP, a stream transport for
 // lossless inter-shard links (length-prefixed batch records, per-peer
@@ -16,9 +16,10 @@
 // and the conformance driver are transport-agnostic.
 //
 // The wire path is batched: UDP and TCP coalesce each peer's outbound
-// frames into wire.Batch containers (see coalesce.go for the
-// size/count/linger thresholds) so envelope and syscall costs amortize
-// across frames instead of being paid per frame.
+// frames into wire.Batch containers, the one format either reads off
+// the network (see coalesce.go for the size/count/linger thresholds), so
+// header and syscall costs amortize across frames instead of being paid
+// per frame.
 //
 // Everything here runs on wall-clock threads, outside the deterministic
 // simulation kernel. The boundary discipline is: transports never touch

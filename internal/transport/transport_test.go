@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"testing"
 	"time"
@@ -126,13 +129,40 @@ func TestLoopbackRoundTrip(t *testing.T) {
 		t.Fatal("empty inbox must report ok=false")
 	}
 
+	// Byte counters charge each frame what a batch of one would cost on
+	// a real wire, on both sides.
+	wantBytes := uint64(3 * (wire.BatchOverhead + testFrame(0).RecordLen()))
 	st := a.Stats()["loop:b"]
-	if st.Sent != 3 || st.SentBytes == 0 {
-		t.Fatalf("sender stats = %+v, want Sent=3 and bytes counted", st)
+	if st.Sent != 3 || st.Batches != 3 || st.SentBytes != wantBytes {
+		t.Fatalf("sender stats = %+v, want Sent=3 Batches=3 SentBytes=%d", st, wantBytes)
 	}
 	rst := b.Stats()["loop:a"]
-	if rst.Recv != 3 || rst.RecvBytes != st.SentBytes {
-		t.Fatalf("receiver stats = %+v, want Recv=3 RecvBytes=%d", rst, st.SentBytes)
+	if rst.Recv != 3 || rst.RecvBytes != wantBytes {
+		t.Fatalf("receiver stats = %+v, want Recv=3 RecvBytes=%d", rst, wantBytes)
+	}
+
+	// The receiver never aliases the sender's buffer: mutating the
+	// payload after Send leaves the delivered frame unchanged.
+	f := testFrame(9)
+	if err := a.Send("loop:b", f); err != nil {
+		t.Fatal(err)
+	}
+	f.Payload[1] = 0xff
+	if _, got, ok := b.Recv(); !ok || seqOf(got) != 9 {
+		t.Fatalf("delivered frame = %v (ok=%v), want seq 9 despite the sender's later write", got.Payload, ok)
+	}
+
+	// A payload past the 16-bit length field is refused exactly as the
+	// wire transports refuse it, and nothing is counted or delivered.
+	big := wire.Frame{Payload: make([]byte, wire.MaxFramePayload+1)}
+	if err := a.Send("loop:b", big); !errors.Is(err, wire.ErrBadMessage) {
+		t.Fatalf("oversized payload: err = %v, want wire.ErrBadMessage", err)
+	}
+	if st := a.Stats()["loop:b"]; st.Sent != 4 {
+		t.Fatalf("oversized payload was counted: %+v", st)
+	}
+	if _, _, ok := b.Recv(); ok {
+		t.Fatal("oversized payload reached the inbox")
 	}
 
 	// An unregistered destination is a send error, and a second endpoint
@@ -268,37 +298,71 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 }
 
+// waitMalformed polls tr until the input it rejected is charged to from,
+// then checks nothing reached the inbox.
+func waitMalformed(t *testing.T, tr Transport, from Addr) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for tr.Stats()[from].Malformed != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("malformed input not charged to %q; stats = %+v", from, tr.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := tr.Stats()[from]; st.Recv != 0 {
+		t.Fatalf("rejected input counted as received: %+v", st)
+	}
+	if _, _, ok := tr.Recv(); ok {
+		t.Fatal("malformed input must not reach the inbox")
+	}
+}
+
+// udpSendRaw writes one datagram to u from a fresh socket and returns the
+// address u attributes it to.
+func udpSendRaw(t *testing.T, u *UDP, datagram []byte) Addr {
+	t.Helper()
+	raw, err := net.Dial("udp", string(u.LocalAddr())[len("udp:"):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	if _, err := raw.Write(datagram); err != nil {
+		t.Fatal(err)
+	}
+	return Addr("udp:" + raw.LocalAddr().String())
+}
+
+// soloEnvelope hand-builds f in the retired single-frame envelope: magic
+// 0xA6, version 1, kind, zero flags, src, dst, a 16-bit payload length,
+// the payload, and a CRC-32 over all of it. The bytes are valid in that
+// format; the wire transports must treat them as malformed like any
+// other non-batch input.
+func soloEnvelope(f wire.Frame) []byte {
+	b := []byte{0xA6, 1, f.Kind, 0}
+	for _, v := range []int16{f.Src.X, f.Src.Y, f.Dst.X, f.Dst.Y} {
+		b = binary.BigEndian.AppendUint16(b, uint16(v))
+	}
+	b = binary.BigEndian.AppendUint16(b, uint16(len(f.Payload)))
+	b = append(b, f.Payload...)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// malformedInputs are bodies that decode as neither hello nor batch.
+var malformedInputs = map[string][]byte{
+	"junk":          []byte("not a frame"),
+	"solo envelope": soloEnvelope(testFrame(5)),
+}
+
 func TestUDPMalformedDatagram(t *testing.T) {
 	u := NewUDP("udp:127.0.0.1:0")
 	if err := u.Listen(); err != nil {
 		t.Fatal(err)
 	}
 	defer u.Close()
-	hp := string(u.LocalAddr())[len("udp:"):]
-	raw, err := net.Dial("udp", hp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if _, err := raw.Write([]byte("not a frame")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var malformed uint64
-		for _, st := range u.Stats() {
-			malformed += st.Malformed
-		}
-		if malformed == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("malformed datagram not counted; stats = %+v", u.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, _, ok := u.Recv(); ok {
-		t.Fatal("malformed datagram must not reach the inbox")
+	for name, datagram := range malformedInputs {
+		t.Run(name, func(t *testing.T) {
+			waitMalformed(t, u, udpSendRaw(t, u, datagram))
+		})
 	}
 }
 
@@ -411,41 +475,21 @@ func TestTCPReconnect(t *testing.T) {
 	t.Fatalf("no frame after receiver restart; sender stats = %+v", a.Stats()[addrB])
 }
 
-func TestTCPMalformedRecord(t *testing.T) {
-	tr := NewTCP("tcp:127.0.0.1:0")
-	if err := tr.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	hp := string(tr.LocalAddr())[len("tcp:"):]
-	raw, err := net.Dial("tcp", hp)
+// tcpDialRaw opens a bare stream to tr, bypassing the TCP sender.
+func tcpDialRaw(t *testing.T, tr *TCP) net.Conn {
+	t.Helper()
+	raw, err := net.Dial("tcp", string(tr.LocalAddr())[len("tcp:"):])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
-	// A well-framed record whose body decodes as neither hello, batch,
-	// nor bare frame: counted malformed, and the stream is dropped.
-	if _, err := raw.Write([]byte{0, 0, 0, 4, 'j', 'u', 'n', 'k'}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var malformed uint64
-		for _, st := range tr.Stats() {
-			malformed += st.Malformed
-		}
-		if malformed == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("malformed record not counted; stats = %+v", tr.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, _, ok := tr.Recv(); ok {
-		t.Fatal("malformed record must not reach the inbox")
-	}
-	// The connection was dropped: the next write eventually errors.
+	t.Cleanup(func() { raw.Close() })
+	return raw
+}
+
+// expectStreamDropped checks the receiver closed raw's connection: writes
+// on it eventually fail.
+func expectStreamDropped(t *testing.T, raw net.Conn) {
+	t.Helper()
 	raw.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	var werr error
 	for i := 0; i < 5000 && werr == nil; i++ {
@@ -453,6 +497,27 @@ func TestTCPMalformedRecord(t *testing.T) {
 	}
 	if werr == nil {
 		t.Fatal("writes kept succeeding after a corrupt record; want dropped connection")
+	}
+}
+
+func TestTCPMalformedRecord(t *testing.T) {
+	tr := NewTCP("tcp:127.0.0.1:0")
+	if err := tr.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for name, body := range malformedInputs {
+		t.Run(name, func(t *testing.T) {
+			// A well-framed record whose body decodes as neither hello
+			// nor batch: counted malformed against the unnamed stream,
+			// and the stream is dropped.
+			raw := tcpDialRaw(t, tr)
+			if err := writeRecord(raw, body); err != nil {
+				t.Fatal(err)
+			}
+			waitMalformed(t, tr, Addr("tcp:"+raw.LocalAddr().String()))
+			expectStreamDropped(t, raw)
+		})
 	}
 }
 

@@ -19,9 +19,8 @@ import (
 // anti-entropy gossip) was built to survive exactly that.
 //
 // One datagram carries one wire.Batch of frames (MTU-bounded by the
-// coalescer), amortizing the envelope and the syscall across the batch;
-// bare single-frame envelopes from older senders are still accepted on
-// receive. Anything the decoders reject increments the sender's
+// coalescer), amortizing the header and the syscall across the batch.
+// Any datagram the batch decoder rejects increments the sender's
 // malformed counter and is otherwise ignored.
 
 // udpQueueCap bounds each peer's queue of sealed batches. When the
@@ -31,8 +30,8 @@ import (
 // blocking the simulation.
 const udpQueueCap = 256
 
-// udpReadBuf is sized past any legal batch the coalescer emits and past
-// any legal single-frame envelope (64 KiB payload bound).
+// udpReadBuf is sized past any legal batch the coalescer emits, which
+// includes a batch of one frame at the 64 KiB payload bound.
 const udpReadBuf = 1 << 16 * 2
 
 // UDP is a socket-backed Transport. Construct with NewUDP (or Open with a
@@ -132,15 +131,7 @@ func (u *UDP) readLoop(conn *net.UDPConn) {
 		// inbox outlives the read buffer.
 		data := append([]byte(nil), buf[:n]...)
 		var derr error
-		scratch = scratch[:0]
-		if wire.IsBatch(data) {
-			scratch, derr = wire.DecodeBatchAppend(scratch, data)
-		} else {
-			var f wire.Frame
-			if f, derr = wire.DecodeFrame(data); derr == nil {
-				scratch = append(scratch, f)
-			}
-		}
+		scratch, derr = wire.DecodeBatchAppend(scratch[:0], data)
 		u.mu.Lock()
 		if !u.live {
 			u.mu.Unlock()

@@ -4,17 +4,20 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+
+	"github.com/agilla-go/agilla/internal/topology"
 )
 
-// The batch container: many frames in one wire write. PR 8's transport
-// shipped one ~40-byte datagram per frame, so throughput was bounded by
-// per-packet cost (syscall, envelope, checksum), not bandwidth. A batch
-// amortizes all three: the frames a sender has accumulated for one peer
-// travel as a single count-prefixed concatenation under a single CRC-32.
-// Each embedded frame keeps only the fields the envelope actually varies
-// per frame — kind, src, dst, payload length — and sheds the per-frame
-// magic/version/flags/CRC, shrinking the per-frame overhead from
-// FrameOverhead (18 bytes) to FrameRecordOverhead (11 bytes).
+// The batch container: what actually crosses a process boundary when two
+// deployments peer over a real transport (internal/transport). The
+// in-process medium hands receivers a radio.Frame struct directly; on the
+// wire, the frames a sender has accumulated for one peer travel as a
+// single count-prefixed concatenation under a single CRC-32, so a peer
+// can validate, demultiplex, and safely reject anything malformed or
+// truncated without trusting the sender. Batching amortizes the
+// per-packet costs (syscall, header, checksum) across the frames; each
+// embedded frame record carries only the fields that vary per frame —
+// kind, src, dst, payload length — at FrameRecordOverhead (11 bytes).
 //
 // Layout (big-endian), BatchOverhead = 8 bytes around the records:
 //
@@ -23,24 +26,25 @@ import (
 //	1       1     version (1)
 //	2       2     frame count N (must be >= 1)
 //	4       ...   N frame records, each:
-//	                0   1  kind
+//	                0   1  kind (the radio frame kind: beacon, migrate, ...)
 //	                1   4  src location (int16 X, int16 Y)
-//	                5   4  dst location
+//	                5   4  dst location (radio.Broadcast encodes like any other)
 //	                9   2  payload length M
-//	                11  M  payload
+//	                11  M  payload (the hand-packed inner codec for kind)
 //	end-4   4     CRC-32 (IEEE) over every preceding byte
 //
-// Decoding is strict exactly like the single-frame envelope: truncation
-// anywhere (header, mid-record, checksum), trailing garbage, a count
-// that does not match the records present, version or magic mismatch,
-// and checksum failure are all rejected with ErrBadMessage, and the
-// decoder never panics (FuzzBatchDecode holds it to that, plus "whatever
-// you accept re-encodes byte-identical").
+// The checksum is not cryptographic: it catches truncation, corruption,
+// and framing bugs, the failure modes UDP actually has. Payloads stay
+// opaque at this layer — inner codecs already reject garbage with
+// ErrBadMessage, so new frame kinds need no container change. Decoding
+// is strict: truncation anywhere (header, mid-record, checksum),
+// trailing garbage, a count that does not match the records present,
+// version or magic mismatch, and checksum failure are all rejected with
+// ErrBadMessage, and the decoder never panics (FuzzBatchDecode holds it
+// to that, plus "whatever you accept re-encodes byte-identical").
 
 const (
-	// BatchMagic is the first byte of every batch; distinct from
-	// FrameMagic so receivers can demultiplex single frames and batches
-	// on one socket.
+	// BatchMagic is the first byte of every batch.
 	BatchMagic = 0xA7
 	// BatchVersion is the batch container version this build speaks.
 	BatchVersion = 1
@@ -52,14 +56,24 @@ const (
 	// FrameRecordOverhead is the per-frame cost inside a batch: kind,
 	// src, dst, payload length.
 	FrameRecordOverhead = 11
+	// MaxFramePayload is the largest payload the 16-bit length field can
+	// carry. Radio payloads are mote-sized (tens of bytes); the bound
+	// exists so a decoder can reject absurd lengths before allocating.
+	MaxFramePayload = 1<<16 - 1
 	// MaxBatchFrames is the largest frame count the 16-bit count field
 	// can carry.
 	MaxBatchFrames = 1<<16 - 1
 )
 
-// IsBatch reports whether b starts like a batch container rather than a
-// single-frame envelope. It implies nothing about validity.
-func IsBatch(b []byte) bool { return len(b) > 0 && b[0] == BatchMagic }
+// Frame is the neutral form of one over-the-air message as it crosses a
+// transport: the radio frame fields without the radio package. The bridge
+// converts to and from radio.Frame at the medium boundary.
+type Frame struct {
+	Kind    uint8
+	Src     topology.Location
+	Dst     topology.Location
+	Payload []byte
+}
 
 // RecordLen returns the encoded size of one frame inside a batch.
 func (f Frame) RecordLen() int { return FrameRecordOverhead + len(f.Payload) }

@@ -7,8 +7,52 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/agilla-go/agilla/internal/replica"
 	"github.com/agilla-go/agilla/internal/topology"
+	"github.com/agilla-go/agilla/internal/tuplespace"
 )
+
+// broadcastLoc mirrors radio.Broadcast (this package cannot import radio).
+var broadcastLoc = topology.Location{X: -32768, Y: -32768}
+
+// kindPayloads builds one representative inner payload per radio frame
+// kind, each through the real hand-packed codec — a batch must carry
+// every one of them unchanged.
+func kindPayloads(t *testing.T) map[uint8][]byte {
+	t.Helper()
+	heap, err := (HeapMsg{AgentID: 9, Seq: 2, Index: 0, Entries: []HeapEntry{
+		{Addr: 3, Value: tuplespace.Int(41)},
+	}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[uint8][]byte{
+		1: Beacon{NumAgents: 3}.Encode(),
+		2: heap,
+		3: (AckMsg{AgentID: 9, Seq: 2, Of: MsgHeap, Index: 0}).Encode(),
+		4: Envelope{
+			Src: topology.Loc(0, 0), Dst: topology.Loc(4, 2), TTL: 16, Kind: 4,
+			Body: RemoteRequest{
+				ReqID: 7, Op: OpRrdp, ReplyTo: topology.Loc(0, 0),
+				Template: tuplespace.Tmpl(tuplespace.Str("fire")),
+			}.Encode(),
+		}.Encode(),
+		5: Envelope{
+			Src: topology.Loc(4, 2), Dst: topology.Loc(0, 0), TTL: 16, Kind: 5,
+			Body: RemoteReply{
+				ReqID: 7, OK: true,
+				Tuple: tuplespace.T(tuplespace.Str("fire"), tuplespace.Int(1)),
+			}.Encode(),
+		}.Encode(),
+		6: ReplicaDigest{Lines: []replica.Summary{
+			{Node: topology.Loc(1, 1), AddMax: 4, RemHash: 0xfeed},
+		}}.Encode(),
+		7: ReplicaDelta{Entries: []replica.Entry{
+			{Origin: replica.Origin{Node: topology.Loc(1, 1), Seq: 4},
+				Tuple: tuplespace.T(tuplespace.Int(8))},
+		}}.Encode(),
+	}
+}
 
 // batchWorkload builds n frames over the real per-kind payloads.
 func batchWorkload(t testing.TB, n int) []Frame {
@@ -34,9 +78,27 @@ func batchWorkload(t testing.TB, n int) []Frame {
 	return frames
 }
 
+// everyKindFrames wraps each kind's real payload in one frame; the
+// beacon is broadcast, so radio.Broadcast must survive as a destination.
+func everyKindFrames(t *testing.T) []Frame {
+	var frames []Frame
+	for kind, payload := range kindPayloads(t) {
+		f := Frame{Kind: kind, Src: topology.Loc(2, 1), Dst: topology.Loc(3, 1), Payload: payload}
+		if kind == 1 {
+			f.Dst = broadcastLoc
+		}
+		frames = append(frames, f)
+	}
+	return frames
+}
+
 func TestBatchRoundTrip(t *testing.T) {
+	inputs := [][]Frame{everyKindFrames(t)}
 	for _, n := range []int{1, 2, 7, 100} {
-		frames := batchWorkload(t, n)
+		inputs = append(inputs, batchWorkload(t, n))
+	}
+	for _, frames := range inputs {
+		n := len(frames)
 		b, err := EncodeBatch(frames)
 		if err != nil {
 			t.Fatalf("n=%d: encode: %v", n, err)
@@ -172,14 +234,18 @@ func fixCRC(b []byte) {
 }
 
 // TestBatchRandomizedRoundTrip round-trips random frame mixes including
-// empty payloads.
+// empty payloads and, in the first trial, a maximum-size payload.
 func TestBatchRandomizedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
 		frames := make([]Frame, n)
 		for i := range frames {
-			p := make([]byte, rng.Intn(64))
+			size := rng.Intn(64)
+			if trial == 0 && i == 0 {
+				size = MaxFramePayload
+			}
+			p := make([]byte, size)
 			rng.Read(p)
 			frames[i] = Frame{
 				Kind:    uint8(rng.Intn(256)),
@@ -205,10 +271,10 @@ func TestBatchRandomizedRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzBatchDecode proves the batch decoder never panics and that
-// whatever it accepts re-encodes byte-identical, mirroring
-// FuzzFrameDecode's contract for the single-frame envelope. Seeds cover
-// valid batches plus truncated, overlength, and CRC-flipped variants.
+// FuzzBatchDecode proves the batch decoder — the only parser of bytes
+// from the network — never panics and that whatever it accepts
+// re-encodes byte-identical. Seeds cover valid batches plus truncated,
+// overlength, and CRC-flipped variants.
 func FuzzBatchDecode(f *testing.F) {
 	frames := batchWorkload(&testing.T{}, 6)
 	for _, n := range []int{1, 3, 6} {
@@ -241,6 +307,61 @@ func FuzzBatchDecode(f *testing.F) {
 			t.Fatalf("re-encode mismatch:\n  in  %x\n  out %x", b, re)
 		}
 	})
+}
+
+// FuzzFrameDecode decodes a frame's payload the way a receiver does once
+// the batch has been accepted: the first input byte is the radio frame
+// kind, the rest is the payload, and the codec the kind selects must
+// reject garbage with an error, never a panic. The payload codecs are
+// fuzzed directly because random inputs to FuzzBatchDecode rarely carry
+// a valid checksum.
+func FuzzFrameDecode(f *testing.F) {
+	for kind, p := range kindPayloads(&testing.T{}) {
+		f.Add(append([]byte{kind}, p...))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{2, byte(MsgHeap)})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		decodeKindPayload(b[0], b[1:])
+	})
+}
+
+// decodeKindPayload runs payload through the codec kind selects,
+// discarding the result.
+func decodeKindPayload(kind uint8, payload []byte) {
+	switch kind {
+	case 1:
+		_, _ = DecodeBeacon(payload)
+	case 2, 3:
+		if typ, err := Type(payload); err == nil {
+			switch typ {
+			case MsgState:
+				_, _ = DecodeState(payload)
+			case MsgCode:
+				_, _ = DecodeCode(payload)
+			case MsgHeap:
+				_, _ = DecodeHeap(payload)
+			case MsgStack:
+				_, _ = DecodeStack(payload)
+			case MsgReaction:
+				_, _ = DecodeReaction(payload)
+			case MsgAck:
+				_, _ = DecodeAck(payload)
+			}
+		}
+	case 4, 5:
+		if env, err := DecodeEnvelope(payload); err == nil {
+			_, _ = DecodeRemoteRequest(env.Body)
+			_, _ = DecodeRemoteReply(env.Body)
+		}
+	case 6:
+		_, _ = DecodeReplicaDigest(payload)
+	case 7:
+		_, _ = DecodeReplicaDelta(payload)
+	}
 }
 
 // BenchmarkBatchEncodeDecode pins the pooled hot path — Get, Add xN,

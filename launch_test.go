@@ -119,12 +119,6 @@ func TestErrNoSuchNodeTyped(t *testing.T) {
 	if _, err := nw.Launch(p, nowhere); !errors.Is(err, agilla.ErrNoSuchNode) {
 		t.Errorf("Launch: %v does not wrap ErrNoSuchNode", err)
 	}
-	if _, err := nw.Inject("halt", nowhere); !errors.Is(err, agilla.ErrNoSuchNode) {
-		t.Errorf("Inject: %v does not wrap ErrNoSuchNode", err)
-	}
-	if _, err := nw.InjectCode(p.Bytes(), nowhere); !errors.Is(err, agilla.ErrNoSuchNode) {
-		t.Errorf("InjectCode: %v does not wrap ErrNoSuchNode", err)
-	}
 	if err := nw.Space(nowhere).Out(agilla.T(agilla.Int(1))); !errors.Is(err, agilla.ErrNoSuchNode) {
 		t.Errorf("Space.Out: %v does not wrap ErrNoSuchNode", err)
 	}
@@ -137,10 +131,9 @@ func TestErrNoSuchNodeTyped(t *testing.T) {
 }
 
 func TestInjectRejectsUnverifiableSource(t *testing.T) {
-	nw := quietNetwork(t)
-	// Guaranteed stack underflow: the verifier must stop it at the base
-	// station, with a position, before anything ships over the radio.
-	_, err := nw.Inject("pushc 1\npop\npop\nhalt", agilla.Loc(1, 1))
+	// Guaranteed stack underflow: the verifier must stop it with a
+	// position before a Program exists that Launch could ship.
+	_, err := program.Parse("pushc 1\npop\npop\nhalt")
 	if err == nil {
 		t.Fatal("unverifiable source must be rejected")
 	}
@@ -150,8 +143,7 @@ func TestInjectRejectsUnverifiableSource(t *testing.T) {
 }
 
 func TestInjectCodeVerifiesBytes(t *testing.T) {
-	nw := quietNetwork(t)
-	if _, err := nw.InjectCode([]byte{0xee}, agilla.Loc(1, 1)); !errors.Is(err, program.ErrVerify) {
-		t.Errorf("InjectCode(garbage): %v does not wrap program.ErrVerify", err)
+	if _, err := program.FromBytes([]byte{0xee}); !errors.Is(err, program.ErrVerify) {
+		t.Errorf("FromBytes(garbage): %v does not wrap program.ErrVerify", err)
 	}
 }

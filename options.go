@@ -218,47 +218,3 @@ func New(opts ...Option) (*Network, error) {
 	}
 	return nw, nil
 }
-
-// Options configures a simulated deployment for NewNetwork. It predates
-// the functional options of New and remains as a compatibility shim; the
-// zero value builds the paper's testbed.
-type Options struct {
-	// Width and Height size the mote grid (default 5×5).
-	Width, Height int
-	// Seed drives all randomness; runs are reproducible per seed.
-	Seed int64
-	// Reliable selects a zero-loss radio (default: the calibrated lossy
-	// model that regenerates the paper's Figures 9-11).
-	Reliable bool
-	// Field drives sensor readings (default: everything reads 0).
-	Field Field
-	// NodeConfig overrides per-mote middleware budgets and protocol
-	// timers; nil selects the paper's defaults.
-	NodeConfig *NodeConfig
-}
-
-// NewNetwork builds a grid deployment per the options. New code should
-// prefer New with functional options, which also unlocks non-grid
-// topologies.
-func NewNetwork(opts Options) (*Network, error) {
-	if opts.Width <= 0 {
-		opts.Width = 5
-	}
-	if opts.Height <= 0 {
-		opts.Height = 5
-	}
-	o := []Option{
-		WithTopology(Grid(opts.Width, opts.Height)),
-		WithSeed(opts.Seed),
-	}
-	if opts.Reliable {
-		o = append(o, WithReliableRadio())
-	}
-	if opts.Field != nil {
-		o = append(o, WithField(opts.Field))
-	}
-	if opts.NodeConfig != nil {
-		o = append(o, WithNodeConfig(*opts.NodeConfig))
-	}
-	return New(o...)
-}

@@ -182,16 +182,3 @@ func TestRinpExactlyOnceUnderReplyLoss(t *testing.T) {
 		t.Fatalf("destination holds %d copies, want exactly 1 removed", 2-got)
 	}
 }
-
-// TestRemoteReadShim keeps the deprecated Network.RemoteRead delegating
-// to the client until it is removed.
-func TestRemoteReadShim(t *testing.T) {
-	nw := reliableGrid(t, 2, 1)
-	if err := nw.Space(agilla.Loc(2, 1)).Out(agilla.T(agilla.Int(9))); err != nil {
-		t.Fatal(err)
-	}
-	tup, ok, err := nw.RemoteRead(agilla.Loc(2, 1), agilla.Tmpl(agilla.Int(9)))
-	if err != nil || !ok || tup.Fields[0].A != 9 {
-		t.Fatalf("RemoteRead shim = %v, %v, %v", tup, ok, err)
-	}
-}
