@@ -104,8 +104,8 @@ func parseSpan(s string) (lo, hi int, err error) {
 
 // wireSummary renders the transport-level counters across all peers for
 // a status line: throughput, coalescing payoff, and — most importantly —
-// frames lost to send-queue backpressure (drop-oldest), which the border
-// counters alone cannot show.
+// frames lost to send-queue backpressure or to receive-inbox overflow
+// (both drop-oldest), which the border counters alone cannot show.
 func wireSummary(peers map[string]agilla.TransportPeerStats) string {
 	var sum agilla.TransportPeerStats
 	for _, st := range peers {
@@ -114,6 +114,7 @@ func wireSummary(peers map[string]agilla.TransportPeerStats) string {
 		sum.Batches += st.Batches
 		sum.Dropped += st.Dropped
 		sum.Recv += st.Recv
+		sum.Overflow += st.Overflow
 		sum.Malformed += st.Malformed
 		sum.SendErrs += st.SendErrs
 	}
@@ -121,6 +122,9 @@ func wireSummary(peers map[string]agilla.TransportPeerStats) string {
 		sum.Sent, sum.Batches, sum.FramesPerBatch(), sum.Recv)
 	if sum.Dropped > 0 {
 		s += fmt.Sprintf(", DROPPED %d (send-queue overflow)", sum.Dropped)
+	}
+	if sum.Overflow > 0 {
+		s += fmt.Sprintf(", OVERFLOW %d (receive-inbox overflow)", sum.Overflow)
 	}
 	if sum.Malformed > 0 {
 		s += fmt.Sprintf(", malformed %d", sum.Malformed)

@@ -35,6 +35,12 @@ type inKey struct {
 	from topology.Location
 }
 
+// doneEntry is one rememberDone insertion, queued in time order.
+type doneEntry struct {
+	key inKey
+	at  time.Duration
+}
+
 // snapshot is everything that travels with an agent.
 type snapshot struct {
 	kind  wire.MigKind
@@ -725,15 +731,21 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 
 // rememberDone records a finalized transfer so retransmitted stragglers
 // are re-acked instead of reopening the transfer. Entries are garbage
-// collected after a grace period.
+// collected after a grace period. Node time is monotonic, so the queue
+// beside the map holds insertions oldest first and expiry pops only its
+// front; a key finalized again since its entry was queued carries a
+// newer time in the map, and its stale entry expires without deleting
+// it.
 func (n *Node) rememberDone(key inKey) {
 	now := n.sim.Now()
 	n.done[key] = now
+	n.doneQ = append(n.doneQ, doneEntry{key, now})
 	const grace = 3 * time.Second
-	//lint:maprange each entry is tested and deleted independently
-	for k, t := range n.done {
-		if now-t > grace {
-			delete(n.done, k)
+	for len(n.doneQ) > 0 && now-n.doneQ[0].at > grace {
+		old := n.doneQ[0]
+		n.doneQ = n.doneQ[1:]
+		if n.done[old.key] == old.at {
+			delete(n.done, old.key)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -489,5 +490,55 @@ func TestEndToEndMigrationAblation(t *testing.T) {
 	runFor(t, d, 5*time.Second)
 	if !hasMarker(dst, 42) {
 		t.Error("end-to-end migration failed on a clean link")
+	}
+}
+
+// TestRememberDoneExpiry pins the duplicate-suppression table to the
+// rule it always had: after each insertion, exactly the keys whose
+// latest finalization is within the grace period are present. The
+// reference rescans every entry; the node pops expired insertions off
+// the front of its queue. Keys recur, some at the same instant, so stale
+// queue entries for refreshed keys are exercised.
+func TestRememberDoneExpiry(t *testing.T) {
+	d := deploymentWithTopo(t, topology.Grid{})
+	n := d.Node(topology.Loc(1, 1))
+	const grace = 3 * time.Second
+	type entry struct {
+		key inKey
+		at  time.Duration
+	}
+	var ref []entry
+	var at time.Duration
+	fails := 0
+	for i := 0; i < 3000; i++ {
+		if i%5 != 0 { // every fifth insertion shares the previous instant
+			at += time.Duration(1+(i*7919)%900) * time.Millisecond
+		}
+		key := inKey{migKey{uint16(i % 7), uint16(i / 50 % 3)}, topology.Loc(2, 1)}
+		n.sim.Schedule(at-n.sim.Now(), func() {
+			now := n.sim.Now()
+			n.rememberDone(key)
+			kept := ref[:0]
+			for _, e := range ref {
+				if e.key != key && now-e.at <= grace {
+					kept = append(kept, e)
+				}
+			}
+			ref = append(kept, entry{key, now})
+			want := make(map[inKey]time.Duration, len(ref))
+			for _, e := range ref {
+				want[e.key] = e.at
+			}
+			if !reflect.DeepEqual(n.done, want) && fails < 3 {
+				fails++
+				t.Errorf("t=%v: done table has %d keys, full rescan keeps %d", now, len(n.done), len(want))
+			}
+		})
+	}
+	if err := d.Sim.Run(at); err != nil {
+		t.Fatal(err)
+	}
+	if len(n.doneQ) > 3*len(n.done)+16 {
+		t.Fatalf("expiry queue holds %d entries for %d live keys", len(n.doneQ), len(n.done))
 	}
 }

@@ -134,6 +134,7 @@ type Node struct {
 	out     map[migKey]*outMigration
 	in      map[inKey]*inMigration
 	done    map[inKey]time.Duration // recently finalized, for duplicate acks
+	doneQ   []doneEntry             // done's insertions, oldest first, for expiry
 	reserve int                     // agent slots held by inbound migrations
 
 	reqSeq  uint16

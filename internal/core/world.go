@@ -188,6 +188,7 @@ func (n *Node) Crash(cause DownCause) bool {
 	}
 	clear(n.in)
 	clear(n.done)
+	n.doneQ = nil
 	//lint:maprange independent timer cancellations; no cross-entry effects
 	for _, pr := range n.remote {
 		if pr.timer != nil {

@@ -7,66 +7,63 @@ import (
 	"github.com/agilla-go/agilla/internal/wire"
 )
 
-// Per-peer frame coalescing, shared by the UDP and TCP transports. PR
-// 8 paid one wire write (and one syscall) per frame; the coalescer
-// instead accumulates a peer's outbound frames into a wire.Batch and
-// seals it when any of three thresholds fires:
+// Per-peer frame coalescing, shared by the UDP and TCP transports.
+// Instead of paying one wire write (and one syscall) per frame, the
+// coalescer accumulates a peer's outbound frames into a wire.Batch and
+// seals it when any of three fixed thresholds fires:
 //
-//   - size: the encoded batch would exceed Batching.MaxBytes (kept
-//     MTU-safe by default so a UDP batch is one unfragmented datagram);
-//   - count: Batching.MaxFrames frames are pending;
-//   - time: Batching.Linger has passed since the first pending frame —
-//     the bound on added latency when traffic is sparse.
+//   - size: the encoded batch would exceed defaultBatchBytes (MTU-safe,
+//     so a UDP batch is one unfragmented datagram);
+//   - count: defaultBatchFrames frames are pending;
+//   - time: defaultBatchLinger has passed since the first pending frame
+//     — the bound on added latency when traffic is sparse.
 //
 // A fourth trigger, Transport.Flush, seals whatever is pending right
 // now; the bridge invokes it at every pump quantum boundary so bridged
 // virtual time never stalls on the linger timer.
 //
-// Sealed batches queue on a bounded channel drained by the transport's
-// per-peer sender goroutine. The queue keeps the existing drop-oldest
-// discipline: when it is full the oldest sealed batch is discarded
-// (its frames counted via onDrop) to admit the new one — for this
-// traffic new frames carry newer protocol state, and retransmission
-// regenerates old ones.
+// Sealed batches queue on a bounded channel of queueCap batches drained
+// by the transport's per-peer sender goroutine. The queue keeps the
+// drop-oldest discipline: when it is full the oldest sealed batch is
+// discarded (its frames counted via onDrop) to admit the new one — for
+// this traffic new frames carry newer protocol state, and retransmission
+// regenerates old ones, so head drop beats tail drop and either beats
+// blocking the simulation.
 
-// Batching tunes per-peer frame coalescing. The zero value means the
-// defaults.
-type Batching struct {
-	// MaxBytes seals a batch before its encoding would exceed this
-	// many bytes. Default DefaultBatchBytes, chosen to keep a UDP
-	// batch inside a conservative 1500-byte path MTU.
-	MaxBytes int
-	// MaxFrames seals a batch at this many frames. Default
-	// DefaultBatchFrames.
-	MaxFrames int
-	// Linger is how long a partial batch may wait for company before
-	// it is sealed anyway. Default DefaultBatchLinger.
-	Linger time.Duration
+// batching holds the coalescing thresholds. Production always runs the
+// defaults (the zero value); tests set other values on an endpoint
+// before Listen to make each threshold observable.
+type batching struct {
+	maxBytes  int           // seal before the encoding would exceed this
+	maxFrames int           // seal at this many frames
+	linger    time.Duration // seal a partial batch after this long
 }
 
 const (
-	// DefaultBatchBytes is the MTU-safe batch size bound: 1500 less
+	// defaultBatchBytes is the MTU-safe batch size bound: 1500 less
 	// IP+UDP headers, with margin for tunneled paths.
-	DefaultBatchBytes = 1400
-	// DefaultBatchFrames bounds frames per batch; at the bench
+	defaultBatchBytes = 1400
+	// defaultBatchFrames bounds frames per batch; at the bench
 	// workload's ~32-byte records the size bound fires first, so this
 	// mostly caps degenerate tiny-frame floods.
-	DefaultBatchFrames = 64
-	// DefaultBatchLinger bounds the latency a lone frame pays waiting
+	defaultBatchFrames = 64
+	// defaultBatchLinger bounds the latency a lone frame pays waiting
 	// for a batch to fill.
-	DefaultBatchLinger = 500 * time.Microsecond
+	defaultBatchLinger = 500 * time.Microsecond
+	// queueCap bounds each peer's queue of sealed batches.
+	queueCap = 256
 )
 
 // withDefaults fills unset fields.
-func (b Batching) withDefaults() Batching {
-	if b.MaxBytes <= 0 {
-		b.MaxBytes = DefaultBatchBytes
+func (b batching) withDefaults() batching {
+	if b.maxBytes <= 0 {
+		b.maxBytes = defaultBatchBytes
 	}
-	if b.MaxFrames <= 0 {
-		b.MaxFrames = DefaultBatchFrames
+	if b.maxFrames <= 0 {
+		b.maxFrames = defaultBatchFrames
 	}
-	if b.Linger <= 0 {
-		b.Linger = DefaultBatchLinger
+	if b.linger <= 0 {
+		b.linger = defaultBatchLinger
 	}
 	return b
 }
@@ -81,10 +78,10 @@ type outBatch struct {
 }
 
 // coalescer accumulates one peer's outbound frames. Lock order: a
-// coalescer's mu is always taken before the owning transport's
-// stats lock (onDrop runs under mu), never after.
+// coalescer's mu is always taken before the owning endpoint's lock
+// (onDrop runs under mu), never after.
 type coalescer struct {
-	cfg    Batching
+	cfg    batching
 	out    chan outBatch
 	onDrop func(frames int) // called under mu when drop-oldest discards a batch
 
@@ -96,7 +93,7 @@ type coalescer struct {
 
 // newCoalescer builds a coalescer with a queue of queueCap sealed
 // batches.
-func newCoalescer(cfg Batching, queueCap int, onDrop func(int)) *coalescer {
+func newCoalescer(cfg batching, onDrop func(int)) *coalescer {
 	return &coalescer{cfg: cfg.withDefaults(), out: make(chan outBatch, queueCap), onDrop: onDrop}
 }
 
@@ -111,7 +108,7 @@ func (c *coalescer) add(f wire.Frame) {
 	if c.closed {
 		return
 	}
-	if c.w != nil && c.w.Size()+f.RecordLen() > c.cfg.MaxBytes {
+	if c.w != nil && c.w.Size()+f.RecordLen() > c.cfg.maxBytes {
 		c.sealLocked()
 	}
 	if c.w == nil {
@@ -121,15 +118,15 @@ func (c *coalescer) add(f wire.Frame) {
 		// Unreachable for validated frames; drop rather than poison the batch.
 		return
 	}
-	if c.w.Count() >= c.cfg.MaxFrames || c.w.Size() >= c.cfg.MaxBytes {
+	if c.w.Count() >= c.cfg.maxFrames || c.w.Size() >= c.cfg.maxBytes {
 		c.sealLocked()
 		return
 	}
 	if c.w.Count() == 1 {
 		if c.timer == nil {
-			c.timer = time.AfterFunc(c.cfg.Linger, c.flush)
+			c.timer = time.AfterFunc(c.cfg.linger, c.flush)
 		} else {
-			c.timer.Reset(c.cfg.Linger)
+			c.timer.Reset(c.cfg.linger)
 		}
 	}
 }

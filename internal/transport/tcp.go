@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
-	"sync"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/wire"
@@ -39,11 +37,12 @@ import (
 // disabled (SetNoDelay) — the coalescer already decides what a write
 // is, and stacking the kernel's own batching delay on top of our linger
 // would double-charge latency.
+//
+// The inbox, counters, send admission and peer registration are the
+// shared endpoint's; this file holds only the listener, the accept and
+// read loops, the record framing and the per-peer sender.
 
 const (
-	// tcpQueueCap bounds each peer's queue of sealed batches, same
-	// drop-oldest discipline as UDP.
-	tcpQueueCap = 256
 	// tcpMaxRecord bounds a length prefix before any allocation: far
 	// past the biggest legal batch, small enough to reject absurdity.
 	tcpMaxRecord = 1 << 20
@@ -59,73 +58,34 @@ const (
 var tcpHelloMagic = []byte("AGH1")
 
 // TCP is a stream-socket Transport. Construct with NewTCP (or Open with
-// a "tcp:" address). Batching may be tuned before Listen; the zero
-// value means the package defaults.
+// a "tcp:" address).
 type TCP struct {
-	addr Addr // as configured, "tcp:host:port"
-
-	// Batch tunes per-peer frame coalescing; set before Listen.
-	Batch Batching
-
-	mu    sync.Mutex
-	ln    net.Listener
-	done  chan struct{}
-	live  bool
-	inbox []inFrame
-	lost  uint64
-	stats map[Addr]*PeerStats
-	peers map[Addr]*tcpPeer
-	conns map[net.Conn]bool // accepted connections, for Close
-	wg    sync.WaitGroup
-}
-
-// tcpPeer is one dialed destination: its host:port and the coalescer
-// its sender goroutine drains. The goroutine owns the outbound
-// connection and its lifecycle.
-type tcpPeer struct {
-	hostPort string
-	co       *coalescer
+	endpoint
+	ln    net.Listener      // bound at Listen
+	conns map[net.Conn]bool // accepted connections, for Close; guarded by mu
 }
 
 // NewTCP creates an endpoint bound to addr ("tcp:host:port") at Listen.
 func NewTCP(addr Addr) *TCP {
-	return &TCP{
-		addr:  addr,
-		stats: make(map[Addr]*PeerStats),
-		peers: make(map[Addr]*tcpPeer),
-		conns: make(map[net.Conn]bool),
-	}
-}
-
-// tcpHostPort strips the "tcp:" scheme.
-func tcpHostPort(addr Addr) (string, error) {
-	s := string(addr)
-	if !strings.HasPrefix(s, "tcp:") {
-		return "", fmt.Errorf("transport: %q is not a tcp address", addr)
-	}
-	return s[len("tcp:"):], nil
+	return &TCP{endpoint: newEndpoint(addr), conns: make(map[net.Conn]bool)}
 }
 
 // Listen binds the listener and starts the accept loop.
 func (t *TCP) Listen() error {
-	hp, err := tcpHostPort(t.addr)
+	hp, err := stripScheme("tcp", t.addr)
 	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	if t.live {
-		t.mu.Unlock()
-		return fmt.Errorf("transport: %q is already listening", t.addr)
+	if err := t.idle(); err != nil {
+		return err
 	}
-	t.mu.Unlock()
 	ln, err := net.Listen("tcp", hp)
 	if err != nil {
 		return fmt.Errorf("transport: listen %q: %v", t.addr, err)
 	}
 	t.mu.Lock()
 	t.ln = ln
-	t.done = make(chan struct{})
-	t.live = true
+	t.openLocked()
 	t.mu.Unlock()
 	t.wg.Add(1)
 	go t.acceptLoop(ln)
@@ -192,7 +152,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		data, err := readRecord(conn, lenBuf[:])
 		if err != nil {
 			if errors.Is(err, wire.ErrBadMessage) {
-				t.countMalformed(from)
+				t.malformed(from)
 			}
 			return
 		}
@@ -205,77 +165,37 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if derr != nil {
 			// A corrupt record poisons the framing; drop the stream. The
 			// dialer reconnects and resumes from a clean boundary.
-			t.countMalformed(from)
+			t.malformed(from)
 			return
 		}
-		t.mu.Lock()
-		if !t.live {
-			t.mu.Unlock()
+		if !t.receive(from, scratch, 4+len(data)) {
 			return
 		}
-		st := t.peerStats(from)
-		st.Recv += uint64(len(scratch))
-		st.RecvBytes += uint64(4 + len(data))
-		for _, f := range scratch {
-			if len(t.inbox) >= inboxCap {
-				t.inbox = t.inbox[1:]
-				t.lost++
-			}
-			t.inbox = append(t.inbox, inFrame{from: from, f: f})
-		}
-		t.mu.Unlock()
 	}
 }
 
-// countMalformed charges one rejected record to a peer.
-func (t *TCP) countMalformed(from Addr) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.live {
-		return
-	}
-	t.peerStats(from).Malformed++
-}
-
-// Dial registers the peer, builds its coalescer, and starts its sender
-// goroutine; the connection itself is established lazily (and
-// re-established after errors), so dialing a peer that has not started
-// yet succeeds and traffic flows once it does. Idempotent.
+// Dial registers the peer and starts its sender goroutine; the
+// connection itself is established lazily (and re-established after
+// errors), so dialing a peer that has not started yet succeeds and
+// traffic flows once it does. Idempotent.
 func (t *TCP) Dial(addr Addr) error {
-	hp, err := tcpHostPort(addr)
+	hp, err := stripScheme("tcp", addr)
 	if err != nil {
 		return err
 	}
 	if _, _, err := net.SplitHostPort(hp); err != nil {
 		return fmt.Errorf("transport: peer %q: %v", addr, err)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.live {
-		return fmt.Errorf("transport: %q is not listening", t.addr)
-	}
-	if _, ok := t.peers[addr]; ok {
-		return nil
-	}
-	st := t.peerStats(addr)
-	p := &tcpPeer{
-		hostPort: hp,
-		co: newCoalescer(t.Batch, tcpQueueCap, func(frames int) {
-			t.mu.Lock()
-			st.Dropped += uint64(frames)
-			t.mu.Unlock()
-		}),
-	}
-	t.peers[addr] = p
-	t.wg.Add(1)
-	go t.sendLoop(p, st, t.done)
-	return nil
+	return t.dial(addr, func(p *peer) {
+		t.wg.Add(1)
+		go t.sendLoop(hp, p, t.done)
+	})
 }
 
 // connect opens the outbound connection and introduces this endpoint
 // with a hello record.
-func (t *TCP) connect(p *tcpPeer) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", p.hostPort, tcpDialTimeout)
+func (t *TCP) connect(hostPort string) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", hostPort, tcpDialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +226,7 @@ func writeRecord(conn net.Conn, b []byte) error {
 
 // sendLoop writes one peer's sealed batches onto its connection,
 // connecting and reconnecting as needed, until Close.
-func (t *TCP) sendLoop(p *tcpPeer, st *PeerStats, done chan struct{}) {
+func (t *TCP) sendLoop(hostPort string, p *peer, done chan struct{}) {
 	defer t.wg.Done()
 	var conn net.Conn
 	var lastDial time.Time
@@ -324,31 +244,21 @@ func (t *TCP) sendLoop(p *tcpPeer, st *PeerStats, done chan struct{}) {
 				// Rate-limit reconnects: inside the backoff window the
 				// batch is dropped, the queue discipline in miniature.
 				if since := time.Since(lastDial); since < tcpRedialBackoff {
-					t.countDropped(st, ob.frames)
+					t.drop(p.st, ob.frames)
 					wire.PutBatchWriter(ob.w)
 					continue
 				}
 				lastDial = time.Now()
-				c, err := t.connect(p)
+				c, err := t.connect(hostPort)
 				if err != nil {
-					t.countSendErr(st)
-					t.countDropped(st, ob.frames)
+					t.wrote(p.st, 0, err, ob.frames)
 					wire.PutBatchWriter(ob.w)
 					continue
 				}
 				conn = c
 			}
 			err := writeRecord(conn, ob.bytes)
-			t.mu.Lock()
-			if err != nil {
-				st.SendErrs++
-				st.Dropped += uint64(ob.frames)
-			} else {
-				st.Batches++
-				st.SentBytes += uint64(4 + len(ob.bytes))
-			}
-			closed := !t.live
-			t.mu.Unlock()
+			closed := t.wrote(p.st, 4+len(ob.bytes), err, ob.frames)
 			wire.PutBatchWriter(ob.w)
 			if err != nil {
 				conn.Close()
@@ -359,71 +269,6 @@ func (t *TCP) sendLoop(p *tcpPeer, st *PeerStats, done chan struct{}) {
 			}
 		}
 	}
-}
-
-// countSendErr charges one connect/write failure.
-func (t *TCP) countSendErr(st *PeerStats) {
-	t.mu.Lock()
-	st.SendErrs++
-	t.mu.Unlock()
-}
-
-// countDropped charges frames lost with a discarded batch.
-func (t *TCP) countDropped(st *PeerStats, frames int) {
-	t.mu.Lock()
-	st.Dropped += uint64(frames)
-	t.mu.Unlock()
-}
-
-// Send queues one frame toward a dialed peer without blocking: the
-// frame joins the peer's pending batch, and a full batch queue drops
-// its oldest batch to admit the new one.
-func (t *TCP) Send(addr Addr, f wire.Frame) error {
-	if len(f.Payload) > wire.MaxFramePayload {
-		return fmt.Errorf("%w: frame payload %d bytes (max %d)", wire.ErrBadMessage, len(f.Payload), wire.MaxFramePayload)
-	}
-	t.mu.Lock()
-	if !t.live {
-		t.mu.Unlock()
-		return fmt.Errorf("transport: %q is closed", t.addr)
-	}
-	p, ok := t.peers[addr]
-	st := t.peerStats(addr)
-	if !ok {
-		st.SendErrs++
-		t.mu.Unlock()
-		return fmt.Errorf("transport: peer %q not dialed", addr)
-	}
-	st.Sent++
-	t.mu.Unlock()
-	p.co.add(f)
-	return nil
-}
-
-// Flush seals every peer's pending batch so nothing waits out the
-// linger timer.
-func (t *TCP) Flush() {
-	t.mu.Lock()
-	peers := make([]*tcpPeer, 0, len(t.peers))
-	for _, p := range t.peers {
-		peers = append(peers, p)
-	}
-	t.mu.Unlock()
-	for _, p := range peers {
-		p.co.flush()
-	}
-}
-
-// Recv pops the oldest received frame, non-blocking.
-func (t *TCP) Recv() (Addr, wire.Frame, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.inbox) == 0 {
-		return "", wire.Frame{}, false
-	}
-	in := t.inbox[0]
-	t.inbox = t.inbox[1:]
-	return in.from, in.f, true
 }
 
 // LocalAddr returns the bound address ("tcp:host:port" with the
@@ -437,57 +282,18 @@ func (t *TCP) LocalAddr() Addr {
 	return t.addr
 }
 
-// Stats snapshots per-peer counters.
-func (t *TCP) Stats() map[Addr]PeerStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[Addr]PeerStats, len(t.stats))
-	for a, s := range t.stats {
-		out[a] = *s
-	}
-	return out
-}
-
 // Close shuts the listener, every connection, and the per-peer senders
 // down and waits for their goroutines.
 func (t *TCP) Close() error {
-	t.mu.Lock()
-	if !t.live {
+	return t.shutdown(func() error {
+		t.mu.Lock()
+		conns := t.conns
+		t.conns = make(map[net.Conn]bool)
 		t.mu.Unlock()
-		return nil
-	}
-	t.live = false
-	ln := t.ln
-	done := t.done
-	peers := t.peers
-	conns := t.conns
-	t.peers = make(map[Addr]*tcpPeer)
-	t.conns = make(map[net.Conn]bool)
-	t.inbox = nil
-	t.mu.Unlock()
-	for _, p := range peers {
-		p.co.close()
-	}
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for conn := range conns {
-		conn.Close()
-	}
-	if done != nil {
-		close(done)
-	}
-	t.wg.Wait()
-	return err
-}
-
-// peerStats returns the counter cell for addr; callers hold t.mu.
-func (t *TCP) peerStats(addr Addr) *PeerStats {
-	st, ok := t.stats[addr]
-	if !ok {
-		st = &PeerStats{}
-		t.stats[addr] = st
-	}
-	return st
+		err := t.ln.Close()
+		for conn := range conns {
+			conn.Close()
+		}
+		return err
+	})
 }

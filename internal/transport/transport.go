@@ -4,22 +4,25 @@
 // radio.Medium, and frames addressed to the other half cross a Transport
 // instead of the in-process attachment table.
 //
-// Three implementations ship: Loopback, an in-memory registry used by
-// the conformance suite (deterministic — no goroutines, no clocks, no
+// Three implementations ship, each an embedded endpoint (endpoint.go:
+// inbox, per-peer counters, send admission, peer registration, Close)
+// plus its own wire code: Loopback, an in-memory registry used by the
+// conformance suite (deterministic — no goroutines, no clocks, no
 // codec; a copy of each frame lands synchronously in the peer's inbox
-// and is drained by an explicit pump); UDP, a real datagram transport (reader
-// goroutine, per-peer send queues with drop-oldest backpressure,
-// malformed-frame accounting); and TCP, a stream transport for
-// lossless inter-shard links (length-prefixed batch records, per-peer
-// connections with reconnect-on-error, Nagle disabled in favor of our
-// own linger). All present the same poll-style interface so the bridge
-// and the conformance driver are transport-agnostic.
+// and is drained by an explicit pump); UDP, a real datagram transport
+// (reader goroutine, per-peer send queues with drop-oldest backpressure,
+// malformed-frame accounting); and TCP, a stream transport for lossless
+// inter-shard links (length-prefixed batch records, per-peer connections
+// with reconnect-on-error, Nagle disabled in favor of our own linger).
+// All present the same poll-style interface and refuse, count and drop
+// alike, so the bridge and the conformance driver are
+// transport-agnostic.
 //
 // The wire path is batched: UDP and TCP coalesce each peer's outbound
 // frames into wire.Batch containers, the one format either reads off
-// the network (see coalesce.go for the size/count/linger thresholds), so
-// header and syscall costs amortize across frames instead of being paid
-// per frame.
+// the network (see coalesce.go for the fixed size/count/linger
+// thresholds), so header and syscall costs amortize across frames
+// instead of being paid per frame.
 //
 // Everything here runs on wall-clock threads, outside the deterministic
 // simulation kernel. The boundary discipline is: transports never touch
@@ -48,6 +51,7 @@ type PeerStats struct {
 	Batches   uint64 // wire writes (datagrams / stream records) carrying those bytes
 	Dropped   uint64 // frames dropped by send-queue backpressure (oldest first)
 	Recv      uint64 // frames received and decoded
+	Overflow  uint64 // received frames evicted unread by inbox drop-oldest
 	RecvBytes uint64 // encoded bytes received
 	Malformed uint64 // datagrams or stream records rejected by the decoder
 	SendErrs  uint64 // socket write or connect failures
@@ -69,17 +73,18 @@ func (s PeerStats) FramesPerBatch() float64 {
 // Transport is one process's frame endpoint.
 //
 // Listen binds the local endpoint and starts reception; it must be called
-// before Send or Recv. Dial prepares a send path to a peer and is
-// idempotent. Send queues one frame to a dialed peer and never blocks on
-// the network (backpressure drops the oldest queued data instead); the
-// wire transports coalesce queued frames into batches, so a frame may
-// wait up to the configured linger before it is written. Flush seals
-// every peer's pending batch immediately — the bridge calls it at each
-// pump quantum boundary so bridged virtual time never stalls on the
-// linger timer. Recv pops one received frame without blocking — the
-// caller polls; this is deliberate, because the simulation side consumes
-// frames from a host pump, not from a goroutine. Close releases the
-// endpoint; Send and Recv on a closed transport fail and report empty,
+// before Dial, Send or Recv. Dial prepares a send path to a peer and is
+// idempotent. Send queues one frame to a dialed peer (a send to any
+// other address fails and counts a send error) and never blocks on the
+// network (backpressure drops the oldest queued data instead); the wire
+// transports coalesce queued frames into batches, so a frame may wait up
+// to the linger before it is written. Flush seals every peer's pending
+// batch immediately — the bridge calls it at each pump quantum boundary
+// so bridged virtual time never stalls on the linger timer. Recv pops
+// one received frame without blocking — the caller polls; this is
+// deliberate, because the simulation side consumes frames from a host
+// pump, not from a goroutine. Close releases the endpoint and is
+// idempotent; Send and Recv on a closed transport fail and report empty,
 // respectively.
 type Transport interface {
 	Listen() error
@@ -90,17 +95,6 @@ type Transport interface {
 	LocalAddr() Addr
 	Stats() map[Addr]PeerStats
 	Close() error
-}
-
-// inboxCap bounds every transport's receive inbox; beyond it the oldest
-// frame is dropped. Protocol retransmission recovers the loss, exactly as
-// it does for radio loss.
-const inboxCap = 4096
-
-// inFrame is one received frame awaiting the pump.
-type inFrame struct {
-	from Addr
-	f    wire.Frame
 }
 
 // Open constructs a transport from a scheme-prefixed address: "loop:name"

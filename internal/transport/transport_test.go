@@ -91,6 +91,87 @@ func TestDoubleListen(t *testing.T) {
 	}
 }
 
+// TestTransportContract holds Loopback, UDP and TCP to the same
+// Transport contract: what one refuses, counts or reports after Close,
+// the others do too.
+func TestTransportContract(t *testing.T) {
+	cases := []struct {
+		name string
+		mk   func(name string) Transport
+	}{
+		{"loopback", func(name string) Transport { return NewLoopback(Addr("loop:contract-" + name)) }},
+		{"udp", func(string) Transport { return NewUDP("udp:127.0.0.1:0") }},
+		{"tcp", func(string) Transport { return NewTCP("tcp:127.0.0.1:0") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.mk("a"), tc.mk("b")
+			if err := a.Send(b.LocalAddr(), testFrame(0)); err == nil {
+				t.Fatal("send before Listen must fail")
+			}
+			if err := a.Listen(); err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			if err := b.Listen(); err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			addrA, addrB := a.LocalAddr(), b.LocalAddr()
+
+			// b is live but not yet dialed: the send fails and is counted.
+			if err := a.Send(addrB, testFrame(0)); err == nil {
+				t.Fatal("send to undialed peer must fail")
+			}
+			if st := a.Stats()[addrB]; st.SendErrs != 1 || st.Sent != 0 {
+				t.Fatalf("undialed send stats = %+v, want SendErrs=1 Sent=0", st)
+			}
+			if err := a.Dial(addrB); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Dial(addrA); err != nil {
+				t.Fatal(err)
+			}
+
+			// A payload past the 16-bit length field is refused by every
+			// transport, and nothing is counted as sent.
+			big := wire.Frame{Payload: make([]byte, wire.MaxFramePayload+1)}
+			if err := a.Send(addrB, big); !errors.Is(err, wire.ErrBadMessage) {
+				t.Fatalf("oversized payload: err = %v, want wire.ErrBadMessage", err)
+			}
+			if st := a.Stats()[addrB]; st.Sent != 0 {
+				t.Fatalf("oversized payload was counted: %+v", st)
+			}
+
+			// Leave one frame unread in b's inbox, then close b: Close is
+			// idempotent, the closed endpoint refuses sends, and the
+			// queued frame is gone.
+			if err := a.Send(addrB, testFrame(1)); err != nil {
+				t.Fatal(err)
+			}
+			a.Flush()
+			deadline := time.Now().Add(5 * time.Second)
+			for b.Stats()[addrA].Recv != 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("frame never reached b; stats = %+v", b.Stats())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for i := 0; i < 2; i++ {
+				if err := b.Close(); err != nil {
+					t.Fatalf("Close #%d: %v", i+1, err)
+				}
+			}
+			if err := b.Send(addrA, testFrame(2)); err == nil {
+				t.Fatal("send after Close must fail")
+			}
+			if _, _, ok := b.Recv(); ok {
+				t.Fatal("Recv after Close must report empty")
+			}
+		})
+	}
+}
+
 func TestLoopbackRoundTrip(t *testing.T) {
 	a, b := NewLoopback("loop:a"), NewLoopback("loop:b")
 	if err := a.Listen(); err != nil {
@@ -152,38 +233,27 @@ func TestLoopbackRoundTrip(t *testing.T) {
 		t.Fatalf("delivered frame = %v (ok=%v), want seq 9 despite the sender's later write", got.Payload, ok)
 	}
 
-	// A payload past the 16-bit length field is refused exactly as the
-	// wire transports refuse it, and nothing is counted or delivered.
-	big := wire.Frame{Payload: make([]byte, wire.MaxFramePayload+1)}
-	if err := a.Send("loop:b", big); !errors.Is(err, wire.ErrBadMessage) {
-		t.Fatalf("oversized payload: err = %v, want wire.ErrBadMessage", err)
+	// A dialed but unregistered destination is a send error, and a
+	// second endpoint cannot squat on a live name.
+	if err := a.Dial("loop:ghost"); err != nil {
+		t.Fatal(err)
 	}
-	if st := a.Stats()["loop:b"]; st.Sent != 4 {
-		t.Fatalf("oversized payload was counted: %+v", st)
-	}
-	if _, _, ok := b.Recv(); ok {
-		t.Fatal("oversized payload reached the inbox")
-	}
-
-	// An unregistered destination is a send error, and a second endpoint
-	// cannot squat on a live name.
 	if err := a.Send("loop:ghost", testFrame(0)); err == nil {
 		t.Fatal("send to unregistered endpoint must fail")
+	}
+	if st := a.Stats()["loop:ghost"]; st.SendErrs != 1 {
+		t.Fatalf("send to unregistered endpoint not counted: %+v", st)
 	}
 	if err := NewLoopback("loop:a").Listen(); err == nil {
 		t.Fatal("duplicate loopback name must fail Listen")
 	}
 
-	// Closing unregisters: sends to it now fail, and the closed endpoint
-	// refuses further sends.
+	// Closing unregisters: sends to it now fail.
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send("loop:b", testFrame(0)); err == nil {
 		t.Fatal("send to closed endpoint must fail")
-	}
-	if err := b.Send("loop:a", testFrame(0)); err == nil {
-		t.Fatal("send from closed endpoint must fail")
 	}
 }
 
@@ -197,6 +267,9 @@ func TestLoopbackDropOldest(t *testing.T) {
 	}
 	defer a.Close()
 	defer b.Close()
+	if err := a.Dial("loop:drop-dst"); err != nil {
+		t.Fatal(err)
+	}
 
 	const extra = 10
 	for i := 0; i < inboxCap+extra; i++ {
@@ -221,6 +294,11 @@ func TestLoopbackDropOldest(t *testing.T) {
 	}
 	if first != extra {
 		t.Fatalf("oldest surviving frame is seq %d, want %d (drop-oldest)", first, extra)
+	}
+	// Every eviction is a counted drop charged to the sender; Recv still
+	// counts every frame that arrived.
+	if st := b.Stats()["loop:drop-src"]; st.Overflow != extra || st.Recv != inboxCap+extra {
+		t.Fatalf("receiver stats = %+v, want Overflow=%d Recv=%d", st, extra, inboxCap+extra)
 	}
 }
 
@@ -290,11 +368,6 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 	if st := b.Stats()[addrA]; st.Recv != frames {
 		t.Fatalf("receiver stats = %+v, want Recv=%d", st, frames)
-	}
-
-	// Sends to peers that were never dialed fail fast.
-	if err := a.Send("udp:127.0.0.1:1", testFrame(0)); err == nil {
-		t.Fatal("send to undialed peer must fail")
 	}
 }
 
@@ -421,9 +494,6 @@ func TestTCPRoundTrip(t *testing.T) {
 	if st := b.Stats()[addrA]; st.Recv != frames {
 		t.Fatalf("receiver stats = %+v, want Recv=%d", st, frames)
 	}
-	if err := a.Send("tcp:127.0.0.1:1", testFrame(0)); err == nil {
-		t.Fatal("send to undialed peer must fail")
-	}
 }
 
 func TestTCPReconnect(t *testing.T) {
@@ -521,34 +591,20 @@ func TestTCPMalformedRecord(t *testing.T) {
 	}
 }
 
-// batchTransport is the sender-configurable subset shared by UDP and TCP.
-type batchTransport interface {
-	Transport
-	setBatch(Batching)
-}
-
-type udpWrap struct{ *UDP }
-
-func (w udpWrap) setBatch(b Batching) { w.UDP.Batch = b }
-
-type tcpWrap struct{ *TCP }
-
-func (w tcpWrap) setBatch(b Batching) { w.TCP.Batch = b }
-
 func TestBatchingCoalesces(t *testing.T) {
+	// A linger far past the test's deadline: only the count threshold
+	// and explicit Flush may seal batches here.
+	cfg := batching{maxFrames: 8, linger: time.Hour}
 	cases := []struct {
 		name string
-		mk   func() batchTransport
+		mk   func(batching) Transport
 	}{
-		{"udp", func() batchTransport { return udpWrap{NewUDP("udp:127.0.0.1:0")} }},
-		{"tcp", func() batchTransport { return tcpWrap{NewTCP("tcp:127.0.0.1:0")} }},
+		{"udp", func(b batching) Transport { u := NewUDP("udp:127.0.0.1:0"); u.batch = b; return u }},
+		{"tcp", func(b batching) Transport { t := NewTCP("tcp:127.0.0.1:0"); t.batch = b; return t }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := tc.mk(), tc.mk()
-			// A linger far past the test's deadline: only the count
-			// threshold and explicit Flush may seal batches here.
-			a.setBatch(Batching{MaxFrames: 8, Linger: time.Hour})
+			a, b := tc.mk(cfg), tc.mk(batching{})
 			if err := a.Listen(); err != nil {
 				t.Fatal(err)
 			}
@@ -603,7 +659,7 @@ func TestBatchingCoalesces(t *testing.T) {
 
 func TestBatchingLinger(t *testing.T) {
 	a, b := NewUDP("udp:127.0.0.1:0"), NewUDP("udp:127.0.0.1:0")
-	a.Batch = Batching{Linger: 2 * time.Millisecond}
+	a.batch = batching{linger: 2 * time.Millisecond}
 	if err := a.Listen(); err != nil {
 		t.Fatal(err)
 	}

@@ -119,11 +119,17 @@ func Compile(code []byte) (*Compiled, error) {
 	return c, nil
 }
 
+// cacheCap bounds a Cache's entries. Bridged peers can ship arbitrary
+// code, so a process-wide cache must not grow with what it is fed; a
+// field runs a handful of distinct programs, far below the cap.
+const cacheCap = 4096
+
 // Cache memoizes Compile by code content. Compilation is a pure function
 // of the bytes, so one process-wide cache is shared by every node: agents
 // migrating between shards hit it concurrently, hence the lock. Programs
 // that fail verification are cached as nil, so unverifiable code costs
-// one Verify, not one per hop.
+// one Verify, not one per hop. A full cache is cleared before the next
+// insertion: forgetting only costs recompilation, never a result.
 type Cache struct {
 	mu sync.Mutex
 	m  map[string]*Compiled
@@ -143,6 +149,9 @@ func (cc *Cache) Get(code []byte) *Compiled {
 	c, err := Compile(code)
 	if err != nil {
 		c = nil
+	}
+	if len(cc.m) >= cacheCap {
+		clear(cc.m)
 	}
 	cc.m[string(code)] = c
 	return c

@@ -414,6 +414,37 @@ func TestCompileCache(t *testing.T) {
 	}
 }
 
+func TestCompileCacheBounded(t *testing.T) {
+	cc := NewCache()
+	// cacheCap+1 distinct verifying programs: pushc n; pop; halt.
+	for i := 0; i <= cacheCap; i++ {
+		prog := code(byte(OpPushcl), byte(i>>8), byte(i), byte(OpPop), byte(OpHalt))
+		if cc.Get(prog) == nil {
+			t.Fatalf("program %d did not compile", i)
+		}
+		if n := len(cc.m); n > cacheCap {
+			t.Fatalf("cache holds %d entries after %d programs, cap %d", n, i+1, cacheCap)
+		}
+	}
+	// Past the cap, Get still compiles valid code into a working program
+	// and still refuses code that fails verification.
+	prog := code(byte(OpPushc), 7, byte(OpHalt))
+	c := cc.Get(prog)
+	if c == nil {
+		t.Fatal("valid code after the cap did not compile")
+	}
+	a, h := NewAgent(1, prog), newMockHost()
+	var out Outcome
+	compiledStep(c, a, h, &out)
+	compiledStep(c, a, h, &out)
+	if out.Effect != EffectHalt || fmt.Sprint(a.StackSlice()) != fmt.Sprint([]ts.Value{ts.Int(7)}) {
+		t.Fatalf("compiled program after the cap: effect %v, stack %v; want halt with [7]", out.Effect, a.StackSlice())
+	}
+	if cc.Get([]byte{0xff}) != nil {
+		t.Fatal("unverifiable code after the cap must be nil")
+	}
+}
+
 // fuzzPool is the instruction alphabet for generated programs. Operand
 // bytes come from the fuzz input; heap indices are clamped so programs
 // survive verification often enough to be useful.
